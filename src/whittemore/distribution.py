@@ -25,6 +25,17 @@ def _as_event(event: Mapping[Any, Any]) -> dict[Variable, Any]:
     return {Variable(k): v for k, v in event.items()}
 
 
+def _event_fault(event: Any, names: tuple[Variable, ...] | None) -> str:
+    if not isinstance(event, Mapping):
+        return f"is not a map of variables to values: {event!r}"
+    for k in event:
+        if not isinstance(k, str):
+            return f"has a non-string key {k!r}"
+    if names is not None and set(event) != set(names):
+        return f"has variables {sorted(map(str, event))}, expected {list(map(str, names))}"
+    return "has an unhashable value"
+
+
 class CategoricalDistribution:
     """A finite joint distribution over categorical variables.
 
@@ -46,79 +57,68 @@ class CategoricalDistribution:
         self._total = total
 
     @classmethod
-    def from_samples(cls, samples: Sequence[Mapping[Any, Any]]) -> "CategoricalDistribution":
-        if not samples:
-            raise DataFormatError("cannot infer a distribution from zero samples")
-        first = _as_event(samples[0])
-        names = tuple(sorted(first))
-        support: dict[Variable, list] = {v: [] for v in names}
-        cells: dict[tuple, int] = {}
-        for i, raw in enumerate(samples):
-            sample = _as_event(raw)
-            if tuple(sorted(sample)) != names:
-                raise DataFormatError(
-                    f"sample {i} has variables {sorted(sample)}, expected {list(names)}"
-                )
-            for v in names:
-                if sample[v] not in support[v]:
-                    support[v].append(sample[v])
-            key = tuple(sample[v] for v in names)
-            cells[key] = cells.get(key, 0) + 1
-        return cls(
-            names,
-            {v: tuple(vals) for v, vals in support.items()},
-            cells,
-            len(samples),
-        )
+    def from_samples(cls, samples: Iterable[Mapping[Any, Any]]) -> "CategoricalDistribution":
+        """Build from sample events, each counting once."""
+        return cls._from_pairs(zip(samples, itertools.repeat(1)))
 
     @classmethod
     def from_counts(
         cls, counts: Iterable[tuple[Mapping[Any, Any], int]]
     ) -> "CategoricalDistribution":
         """Build from (full event, nonnegative integer count) pairs."""
-        events = [(_as_event(e), n) for e, n in counts]
-        if not events:
-            raise DataFormatError("empty count table")
-        names = tuple(sorted(events[0][0]))
-        support: dict[Variable, list] = {v: [] for v in names}
-        cells: dict[tuple, int] = {}
-        total = 0
-        for event, n in events:
-            if tuple(sorted(event)) != names:
-                raise DataFormatError("count table events must share one variable set")
-            for v in names:
-                if event[v] not in support[v]:
-                    support[v].append(event[v])
-            cells[tuple(event[v] for v in names)] = n
-            total += n
-        return cls(names, {v: tuple(vals) for v, vals in support.items()}, cells, total)
+        return cls._from_pairs(counts)
 
     @classmethod
     def from_weights(
         cls, weights: Iterable[tuple[Mapping[Any, Any], float]], tolerance: float = 1e-12
     ) -> "CategoricalDistribution":
         """Build from (full event, probability) pairs summing to one."""
-        events = [(_as_event(e), w) for e, w in weights]
-        if not events:
-            raise DataFormatError("empty weight table")
-        names = tuple(sorted(events[0][0]))
-        support: dict[Variable, list] = {v: [] for v in names}
-        cells: dict[tuple, float] = {}
-        for event, w in events:
-            if tuple(sorted(event)) != names:
-                raise DataFormatError("weight table events must share one variable set")
-            if w < -tolerance:
-                raise DataFormatError(f"negative probability {w!r}")
-            for v in names:
-                if event[v] not in support[v]:
-                    support[v].append(event[v])
-            cells[tuple(event[v] for v in names)] = w
-        mass = math.fsum(cells.values())
-        if abs(mass - 1.0) > tolerance:
-            raise EstimationError(
-                f"weights sum to {mass!r}, not 1 (tolerance {tolerance:g})"
-            )
-        return cls(names, {v: tuple(vals) for v, vals in support.items()}, cells, 1.0)
+        return cls._from_pairs(weights, tolerance)
+
+    @classmethod
+    def _from_pairs(
+        cls, pairs: Iterable[tuple[Mapping[Any, Any], Any]], tolerance: float | None = None
+    ) -> "CategoricalDistribution":
+        """Count (event, weight) pairs into cells in one pass.
+
+        The first event fixes the variables, and every later event is read
+        by those names. A repeated event adds to its cell, and each support
+        lists values in first-seen order. With a tolerance the weights are
+        probabilities whose mass must be 1, and the normalizer is 1.0;
+        otherwise it is the total weight.
+        """
+        names = None
+        cells: dict[tuple, Any] = {}
+        for i, (event, weight) in enumerate(pairs):
+            if weight < 0:
+                raise DataFormatError(f"event {i} has negative weight {weight!r}")
+            try:
+                if names is None:
+                    if not all(isinstance(k, str) for k in event):
+                        raise TypeError
+                    names = tuple(sorted(Variable(k) for k in event))
+                if len(event) != len(names):
+                    raise KeyError
+                key = tuple([event[v] for v in names])
+                cells[key] = cells.get(key, 0) + weight
+            except (TypeError, KeyError):
+                raise DataFormatError(f"event {i} {_event_fault(event, names)}") from None
+        if names is None:
+            raise DataFormatError("no events to build a distribution from")
+        total = sum(cells.values())
+        if not total > 0:
+            raise DataFormatError("the events have zero total weight")
+        if tolerance is not None:
+            mass = math.fsum(cells.values())
+            if abs(mass - 1.0) > tolerance:
+                raise EstimationError(
+                    f"weights sum to {mass!r}, not 1 (tolerance {tolerance:g})"
+                )
+            total = 1.0
+        support = {
+            v: tuple(dict.fromkeys(key[j] for key in cells)) for j, v in enumerate(names)
+        }
+        return cls(names, support, cells, total)
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -216,7 +216,7 @@ class CategoricalDistribution:
         return f"<categorical over [{vs}], {len(self._cells)} outcomes>"
 
 
-def categorical(samples: Sequence[Mapping[Any, Any]]) -> CategoricalDistribution:
+def categorical(samples: Iterable[Mapping[Any, Any]]) -> CategoricalDistribution:
     """Infer an empirical categorical joint from a vector of sample events."""
     return CategoricalDistribution.from_samples(samples)
 

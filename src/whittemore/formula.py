@@ -112,10 +112,6 @@ class Formula:
             return NotImplemented
         return self.form == other.form and dict(self.bindings) == dict(other.bindings)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
 

@@ -178,7 +178,7 @@ def _op_infer(args: list):
 def _op_categorical(args: list):
     if len(args) != 1 or not isinstance(args[0], (list, tuple)):
         raise EvalError("categorical takes a vector of sample events")
-    return categorical([_as_event(s, "sample") for s in args[0]])
+    return categorical(args[0])
 
 
 def _op_read_csv(args: list):

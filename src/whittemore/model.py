@@ -128,10 +128,6 @@ class Model:
             and self.confounding == other.confounding
         )
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None  # unhashable, like other mutable-looking mappings
 
     def __repr__(self) -> str:
@@ -176,10 +172,6 @@ class Data:
         if not isinstance(other, Data):
             return NotImplemented
         return self.joint_set == other.joint_set
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 

@@ -19,6 +19,11 @@ _ATOM_END = set(" \t\r\n,()[]{}\";")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\d*\.\d+|\d+)([eE][+-]?\d+)?\Z")
 
+# Collections nest at most this deep. Parsing, evaluating and printing each
+# recurse up to three frames per level, so the cap keeps all of them inside
+# Python's default recursion limit.
+_MAX_DEPTH = 200
+
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 
 
@@ -198,6 +203,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.end = (end_line, end_col)
+        self.depth = 0  # collections open at the current token
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -214,6 +220,12 @@ class _Parser:
                 incomplete=True,
             )
         self.pos += 1
+        if tok.kind in ("(", "[", "{", "#{"):
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", tok.line, tok.col)
+        elif tok.kind in ")]}":
+            self.depth -= 1
         return tok
 
     def expression(self) -> Expr:

@@ -16,70 +16,51 @@ def _names(vs) -> list[str]:
     return [str(v) for v in sorted(vs)]
 
 
-def _latex_form(form: Form) -> str:
+# conditioning bar, sum sign, bracket pair, fraction format, bindings line
+_TEXT = (" | ", "Σ", ("[", "]"), "({}) / ({})", "\n  where: ")
+_LATEX = (" \\mid ", "\\sum", ("\\left[ ", " \\right]"), "\\frac{{{}}}{{{}}}", "\nwhere: ")
+
+
+def _form(form: Form, tokens: tuple) -> str:
+    bar, sum_sign, (left, right), fraction, _ = tokens
     if isinstance(form, Prob):
         inside = ", ".join(_names(form.p))
         if form.given:
-            inside += " \\mid " + ", ".join(_names(form.given))
+            inside += bar + ", ".join(_names(form.given))
         return f"P({inside})"
     if isinstance(form, Sum):
-        return "\\sum_{" + ", ".join(_names(form.sub)) + "} " + _latex_form(form.body)
+        return sum_sign + "_{" + ", ".join(_names(form.sub)) + "} " + _form(form.body, tokens)
     if isinstance(form, Product):
         rendered = []
         for factor in form.factors:
-            text = _latex_form(factor)
+            text = _form(factor, tokens)
             if isinstance(factor, Sum):
-                text = "\\left[ " + text + " \\right]"
+                text = left + text + right
             rendered.append(text)
         return " ".join(sorted(rendered, reverse=True))
-    return "\\frac{" + _latex_form(form.numer) + "}{" + _latex_form(form.denom) + "}"
+    return fraction.format(_form(form.numer, tokens), _form(form.denom, tokens))
+
+
+def _render(f: Formula | Form, tokens: tuple) -> str:
+    if not isinstance(f, Formula):
+        return _form(f, tokens)
+    text = _form(f.form, tokens)
+    if f.bindings:
+        pairs = ", ".join(f"{v}={print_value(val)}" for v, val in sorted(f.bindings.items()))
+        return text + tokens[-1] + pairs
+    return text
 
 
 def to_latex(f: Formula | Form) -> str:
     """LaTeX math for a formula; bindings become a trailing `where:` line."""
-    if isinstance(f, Formula):
-        math = _latex_form(f.form)
-        if f.bindings:
-            pairs = ", ".join(
-                f"{v}={print_value(val)}" for v, val in sorted(f.bindings.items())
-            )
-            return math + "\nwhere: " + pairs
-        return math
-    return _latex_form(f)
-
-
-def _text_form(form: Form) -> str:
-    if isinstance(form, Prob):
-        inside = ", ".join(_names(form.p))
-        if form.given:
-            inside += " | " + ", ".join(_names(form.given))
-        return f"P({inside})"
-    if isinstance(form, Sum):
-        return "Σ_{" + ", ".join(_names(form.sub)) + "} " + _text_form(form.body)
-    if isinstance(form, Product):
-        rendered = []
-        for factor in form.factors:
-            text = _text_form(factor)
-            if isinstance(factor, Sum):
-                text = "[" + text + "]"
-            rendered.append(text)
-        return " ".join(sorted(rendered, reverse=True))
-    return "(" + _text_form(form.numer) + ") / (" + _text_form(form.denom) + ")"
+    return _render(f, _LATEX)
 
 
 def to_text(f: Formula | Form | Fail) -> str:
     """Plain-text rendering of a formula, used by the REPL."""
     if isinstance(f, Fail):
         return "Fail: " + f.message
-    if isinstance(f, Formula):
-        text = _text_form(f.form)
-        if f.bindings:
-            pairs = ", ".join(
-                f"{v}={print_value(val)}" for v, val in sorted(f.bindings.items())
-            )
-            return text + "\n  where: " + pairs
-        return text
-    return _text_form(f)
+    return _render(f, _TEXT)
 
 
 def to_dot(m: Model) -> str:

@@ -124,6 +124,14 @@ class TestMain:
         assert code == 1
         assert "mystery" in err
 
+    def test_deep_unclosed_nesting_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "deep.wt"
+        path.write_text("[" * 600 + "\n")
+        code, out, err = run_main(capsys, "run", str(path))
+        assert code == 1
+        assert f"{path}: 1:" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exits_2(self, capsys):
         assert run_main(capsys)[0] == 2
         assert run_main(capsys, "bogus")[0] == 2

@@ -9,6 +9,7 @@ from whittemore import (
     Formula,
     categorical,
     estimate,
+    eval_program,
     evaluate,
     identify,
     infer,
@@ -19,7 +20,12 @@ from whittemore import (
     signature,
     sum_over,
 )
-from whittemore.errors import DataFormatError, EstimationError, UnknownVariableError
+from whittemore.errors import (
+    DataFormatError,
+    EstimationError,
+    UnknownVariableError,
+    WhittemoreError,
+)
 
 EXAMPLE_SAMPLES = [
     {"x": 0, "y": 0},
@@ -56,6 +62,37 @@ class TestCategorical:
     def test_ragged_samples_rejected(self):
         with pytest.raises(DataFormatError):
             categorical([{"x": 0}, {"x": 0, "y": 1}])
+
+    def test_repeated_count_event_adds_to_its_cell(self):
+        d = CategoricalDistribution.from_counts([({"x": 0}, 2), ({"x": 0}, 3), ({"x": 1}, 5)])
+        assert measure(d, {"x": 0}) == 0.5
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DataFormatError, match="event 0"):
+            CategoricalDistribution.from_counts([({"x": 0}, -1), ({"x": 1}, 2)])
+
+    def test_all_zero_counts_rejected_when_built(self):
+        with pytest.raises(DataFormatError):
+            CategoricalDistribution.from_counts([({"x": 0}, 0), ({"x": 1}, 0)])
+
+    def test_non_map_samples_rejected(self):
+        with pytest.raises(DataFormatError, match="event 0"):
+            CategoricalDistribution.from_samples([1, 2])
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(DataFormatError, match="event 1"):
+            CategoricalDistribution.from_weights([({"x": 0}, 1.5), ({"x": 1}, -0.5)])
+
+    def test_weights_off_one_rejected(self):
+        with pytest.raises(EstimationError):
+            CategoricalDistribution.from_weights([({"x": 0}, 0.5), ({"x": 1}, 0.25)])
+
+    @pytest.mark.parametrize(
+        "source", ["(categorical [1 2])", "(categorical [{1 2}])", "(categorical [{:x [1]}])"]
+    )
+    def test_bad_script_samples_report_position(self, source):
+        with pytest.raises(WhittemoreError, match=r"^1:1: "):
+            eval_program(source)
 
 
 class TestSignature:

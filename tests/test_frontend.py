@@ -23,7 +23,7 @@ from whittemore.errors import (
     UnboundSymbolError,
 )
 from whittemore.printer import display_value
-from whittemore.reader import Apply, MapLit, SetLit, Symbol, VectorLit
+from whittemore.reader import _MAX_DEPTH, Apply, MapLit, SetLit, Symbol, VectorLit
 
 
 class TestParse:
@@ -78,6 +78,22 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("\n  #oops")
         assert (err.value.line, err.value.col) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "opener, inner, closer",
+        [("[", "1", "]"), ("#{", "1", "}"), ("{:a ", "1", "}"), ("(head ", "[1]", " 1)")],
+    )
+    def test_nesting_at_the_cap_runs(self, opener, inner, closer):
+        levels = _MAX_DEPTH - inner.count("[")
+        values, _ = eval_program(opener * levels + inner + closer * levels)
+        assert display_value(values[0])
+
+    def test_nesting_past_the_cap_fails_at_the_opener(self):
+        text = "[" * _MAX_DEPTH + " [1]" + "]" * _MAX_DEPTH
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, _MAX_DEPTH + 2)
+        assert not err.value.incomplete
 
 
 class TestEval:
