@@ -21,8 +21,23 @@ Event = Mapping[Variable, Any]
 _NORMALIZATION_TOL = 1e-9
 
 
-def _as_event(event: Mapping[Any, Any]) -> dict[Variable, Any]:
-    return {Variable(k): v for k, v in event.items()}
+def as_event(value: Any, what: str = "event") -> dict[Variable, Any]:
+    """A map of variable names to values, rekeyed by Variable."""
+    if not isinstance(value, Mapping):
+        raise DataFormatError(f"{what} must be a map of variables to values, got {value!r}")
+    event = {}
+    for k, v in value.items():
+        if not isinstance(k, str):
+            raise DataFormatError(f"{what} has a non-string key {k!r}")
+        event[Variable(k)] = v
+    return event
+
+
+def _mass(table: Mapping[tuple, float], values: tuple) -> float:
+    try:
+        return table.get(values, 0.0)
+    except TypeError:  # an unhashable value, which no cell can hold
+        return 0.0
 
 
 def _event_fault(event: Any, names: tuple[Variable, ...] | None) -> str:
@@ -55,6 +70,8 @@ class CategoricalDistribution:
         self._support = dict(support)
         self._cells = dict(cells)
         self._total = total
+        # marginal tables by variable positions, filled on first use
+        self._tables: dict[tuple[int, ...], dict[tuple, float]] = {}
 
     @classmethod
     def from_samples(cls, samples: Iterable[Mapping[Any, Any]]) -> "CategoricalDistribution":
@@ -133,17 +150,30 @@ class CategoricalDistribution:
 
     def measure(self, event: Mapping[Any, Any]) -> float:
         """Probability of the event; unmentioned variables are marginalized."""
-        ev = _as_event(event)
-        unknown = set(ev) - set(self._variables)
-        if unknown:
+        ev = as_event(event)
+        names, table = self._marginal(ev)
+        return _mass(table, tuple([ev[v] for v in names]))
+
+    def _marginal(self, variables) -> tuple[tuple[Variable, ...], dict[tuple, float]]:
+        """The variables in distribution order, and their marginal table.
+
+        The table maps each value tuple to its mass: the `math.fsum` of the
+        matching cells over the total. It is built in one pass over the cells
+        on first use and then kept, since the cells never change.
+        """
+        positions = tuple(i for i, v in enumerate(self._variables) if v in variables)
+        if len(positions) != len(variables):
+            unknown = set(variables) - set(self._variables)
             raise UnknownVariableError(f"not in distribution: {sorted(unknown)}")
-        picks = [
-            (i, ev[v]) for i, v in enumerate(self._variables) if v in ev
-        ]
-        matching = [
-            w for key, w in self._cells.items() if all(key[i] == val for i, val in picks)
-        ]
-        return math.fsum(matching) / self._total
+        table = self._tables.get(positions)
+        if table is None:
+            groups: dict[tuple, list] = {}
+            for key, weight in self._cells.items():
+                groups.setdefault(tuple([key[i] for i in positions]), []).append(weight)
+            table = self._tables[positions] = {
+                values: math.fsum(weights) / self._total for values, weights in groups.items()
+            }
+        return tuple([self._variables[i] for i in positions]), table
 
     def estimate(self, target: Formula | Query):
         """Apply a formula (or query) to this distribution.
@@ -234,19 +264,27 @@ def estimate(distribution, target):
 
 
 class _Evaluator:
-    """Recursive form evaluation against one categorical distribution."""
+    """Recursive form evaluation against one categorical distribution.
+
+    Each P(·) term is resolved on its first visit to its variables and
+    marginal tables, so a summed assignment costs tuple builds and lookups.
+    """
 
     def __init__(self, dist: CategoricalDistribution):
         self.dist = dist
         self.zero_conditionals = 0  # diagnostic: 0/0 conditionals hit
+        self._terms: dict[Prob, tuple] = {}
 
     def run(self, form: Form, env: Mapping[Variable, Any]) -> float:
         if isinstance(form, Prob):
-            joint = {v: self._lookup(env, v) for v in form.p | form.given}
-            numer = self.dist.measure(joint)
-            if not form.given:
+            term = self._terms.get(form)
+            if term is None:
+                term = self._terms[form] = self._resolve(form, env)
+            names, joint, given_names, given = term
+            numer = _mass(joint, self._values(env, names))
+            if given is None:
                 return numer
-            denom = self.dist.measure({v: joint[v] for v in form.given})
+            denom = _mass(given, self._values(env, given_names))
             if denom == 0.0:
                 self.zero_conditionals += 1
                 return 0.0
@@ -255,9 +293,9 @@ class _Evaluator:
             subs = sorted(form.sub)
             supports = []
             for v in subs:
-                if v not in self.dist.support:
+                if v not in self.dist._support:
                     raise UnknownVariableError(f"not in distribution: {v!r}")
-                supports.append(self.dist.support[v])
+                supports.append(self.dist._support[v])
             total = 0.0
             for combo in itertools.product(*supports):
                 inner = dict(env)
@@ -277,10 +315,22 @@ class _Evaluator:
             return self.run(form.numer, env) / denom
         raise EstimationError(f"cannot evaluate {type(form).__name__}")
 
-    def _lookup(self, env: Mapping[Variable, Any], v: Variable):
-        if v in env:
-            return env[v]
-        raise EstimationError(f"unbound variable {v!r} during formula evaluation")
+    def _resolve(self, form: Prob, env: Mapping[Variable, Any]) -> tuple:
+        joint = form.p | form.given
+        self._values(env, joint)  # an unbound variable is reported before an unknown one
+        names, table = self.dist._marginal(joint)
+        if not form.given:
+            return names, table, (), None
+        return (names, table) + self.dist._marginal(form.given)
+
+    @staticmethod
+    def _values(env: Mapping[Variable, Any], names) -> tuple:
+        try:
+            return tuple([env[v] for v in names])
+        except KeyError as exc:
+            raise EstimationError(
+                f"unbound variable {exc.args[0]!r} during formula evaluation"
+            ) from None
 
 
 def evaluate(
@@ -300,7 +350,7 @@ def evaluate(
         env = {}
         form = formula
     if context:
-        env.update(_as_event(context))
+        env.update(as_event(context, "context"))
     return _Evaluator(dist).run(form, env)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from .distribution import categorical, estimate, infer, measure, signature
+from .distribution import as_event, categorical, estimate, infer, measure, signature
 from .errors import EvalError, RedefinitionError, UnboundSymbolError
 from .identify import Query, identify, make_query
 from .model import Data, Model, Variable, make_model
@@ -66,12 +66,6 @@ def _as_variable_collection(value: Any, what: str) -> list[Variable]:
     raise EvalError(f"{what} must be a vector or set of variables, got {value!r}")
 
 
-def _as_event(value: Any, what: str) -> dict[Variable, Any]:
-    if not isinstance(value, Mapping):
-        raise EvalError(f"{what} must be a map of variables to values, got {value!r}")
-    return {_as_variable(k): v for k, v in value.items()}
-
-
 def _op_model(args: list) -> Model:
     if not args:
         raise EvalError("model requires a dag map")
@@ -97,7 +91,7 @@ def _op_data(args: list) -> Data:
 
 def _query_part(value: Any, what: str):
     if isinstance(value, Mapping):
-        return _as_event(value, what)
+        return as_event(value, what)
     return _as_variable_collection(value, what)
 
 
@@ -106,7 +100,7 @@ def _op_q(args: list) -> Query:
         raise EvalError("q requires an effect argument")
     effect = args[0]
     if isinstance(effect, Mapping):
-        effect = _as_event(effect, "effect")
+        effect = as_event(effect, "effect")
     else:
         effect = _as_variable_collection(effect, "effect")
     rest = args[1:]
@@ -155,7 +149,7 @@ def _op_estimate(args: list):
 def _op_measure(args: list):
     if len(args) != 2:
         raise EvalError("measure takes a distribution and an event map")
-    return measure(args[0], _as_event(args[1], "event"))
+    return measure(args[0], args[1])
 
 
 def _op_signature(args: list):

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Union
 
-from .errors import ParseError
+from .errors import ParseError, VariableNameError
 from .model import Variable
 
 _DELIMS = "()[]{}"
@@ -161,7 +161,7 @@ def _classify_atom(tok: _Token) -> Expr:
             raise ParseError("empty keyword", tok.line, tok.col)
         try:
             return Variable(name)
-        except Exception as exc:
+        except VariableNameError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
     if word == "true":
         return True

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from whittemore import categorical, head, main, marginal_table, read_csv, write_csv
@@ -110,6 +114,38 @@ class TestMain:
             "0.8325462173856037",
             "0.778875",
         ]
+
+    @pytest.mark.parametrize("module", ["whittemore", "whittemore.cli"])
+    def test_python_m_runs_the_cli(self, module):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", module, "run", "demo/simpson.wt"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-4:] == [
+            "0.78",
+            "0.8257142857142857",
+            "0.8325462173856037",
+            "0.778875",
+        ]
+
+    def test_unhashable_event_value_measures_zero(self, capsys, tmp_path):
+        path = tmp_path / "unhashable.wt"
+        path.write_text("(define d (categorical [{:a 1} {:a 2}]))\n(measure d {:a [1 2]})\n")
+        code, out, err = run_main(capsys, "run", str(path))
+        assert (code, out.strip().splitlines()[-1]) == (0, "0.0")
+
+    def test_non_map_event_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "bad-event.wt"
+        path.write_text("(measure (categorical [{:a 1}]) 5)\n")
+        code, out, err = run_main(capsys, "run", str(path))
+        assert code == 1
+        assert "must be a map" in err
+        assert "Traceback" not in err
 
     def test_empty_script(self, capsys, tmp_path):
         path = tmp_path / "empty.wt"

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from whittemore import (
     CategoricalDistribution,
@@ -126,6 +128,17 @@ class TestMeasure:
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_unhashable_value_is_zero(self, example_distribution):
+        assert measure(example_distribution, {"x": [1, 2]}) == 0.0
+
+    def test_non_map_event_is_an_error(self, example_distribution):
+        with pytest.raises(DataFormatError, match="must be a map"):
+            measure(example_distribution, 5)
+
+    def test_non_string_key_is_an_error(self, example_distribution):
+        with pytest.raises(DataFormatError, match="non-string key"):
+            measure(example_distribution, {1: 0})
+
     def test_marginal_consistency(self, kidney):
         lhs = measure(kidney, {"size": "small"})
         rhs = math.fsum(
@@ -134,6 +147,83 @@ class TestMeasure:
             for u in ("yes", "no")
         )
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+# mixed kinds, including equal values of different types (1, 1.0, True)
+_VALUES = (0, 1, 2, 1.0, True, "a", "b", None)
+_NAMES = ("u", "v", "w", "x")
+
+
+@st.composite
+def _joints(draw):
+    """A sparse joint: sample-built, or float-weighted over distinct events.
+
+    Returns the distribution, its (event, weight) pairs and its total.
+    """
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    row = st.tuples(*(st.sampled_from(_VALUES) for _ in names))
+    if draw(st.booleans()):
+        events = [dict(zip(names, r)) for r in draw(st.lists(row, min_size=1, max_size=30))]
+        pairs = [(e, 1) for e in events]
+        return CategoricalDistribution.from_samples(events), pairs, len(events)
+    # distinct by ==, so that no two weights are added into one cell
+    rows = draw(st.lists(row, min_size=1, max_size=30, unique=True))
+    events = [dict(zip(names, r)) for r in rows]
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(events), max_size=len(events)))
+    mass = math.fsum(raw)
+    pairs = [(e, w / mass) for e, w in zip(events, raw)]
+    return CategoricalDistribution.from_weights(pairs), pairs, 1.0
+
+
+def _scan(pairs, total, event):
+    """The probability of the event by a scan over every (event, weight) pair."""
+    matching = [w for e, w in pairs if all(e[k] == v for k, v in event.items())]
+    return math.fsum(matching) / total
+
+
+class TestMarginalTables:
+    """`measure` reads memoised marginal tables; it must equal a full scan."""
+
+    @given(_joints(), st.data())
+    def test_measure_equals_a_scan(self, joint, data):
+        dist, pairs, total = joint
+        names = [str(v) for v in dist.variables]
+        events = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(names), unique=True).flatmap(
+                    lambda sub: st.fixed_dictionaries(
+                        {n: st.sampled_from(_VALUES + ("absent",)) for n in sub}
+                    )
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        for event in events + events:  # first use of each table, then repeated use
+            assert measure(dist, event) == _scan(pairs, total, event)
+
+    @given(_joints(), st.data())
+    def test_conditional_term_equals_a_ratio_of_scans(self, joint, data):
+        dist, pairs, total = joint
+        order = data.draw(st.permutations([str(v) for v in dist.variables]))
+        split = data.draw(st.integers(1, len(order)))
+        p, cond = order[:split], order[split:data.draw(st.integers(split, len(order)))]
+        context = {n: data.draw(st.sampled_from(_VALUES)) for n in p + cond}
+        numer = _scan(pairs, total, context)
+        denom = _scan(pairs, total, {n: context[n] for n in cond})
+        expected = numer if not cond else (0.0 if denom == 0.0 else numer / denom)
+        assert evaluate(dist, prob(p, cond), context) == expected
+
+    @given(_joints())
+    def test_outside_support_and_unknown_after_tables_exist(self, joint):
+        dist, pairs, total = joint
+        names = [str(v) for v in dist.variables]
+        assert measure(dist, {names[0]: "absent"}) == 0.0
+        assert measure(dist, dict.fromkeys(names, "absent")) == 0.0
+        with pytest.raises(UnknownVariableError):
+            measure(dist, {names[0]: 0, "nowhere": 0})
+        with pytest.raises(UnknownVariableError):
+            measure(dist, {"nowhere": 0})
 
 
 class TestEvaluate:
@@ -153,6 +243,9 @@ class TestEvaluate:
     def test_unbound_variable_is_an_error(self, example_distribution):
         with pytest.raises(EstimationError):
             evaluate(example_distribution, prob(["y"], ["x"]), {"y": 1})
+
+    def test_unhashable_context_value_is_zero(self, example_distribution):
+        assert evaluate(example_distribution, prob(["y"]), {"y": [1]}) == 0.0
 
     def test_zero_probability_conditional_is_zero(self, example_distribution):
         form = prob(["y"], ["x"])

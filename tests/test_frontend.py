@@ -96,6 +96,12 @@ class TestParse:
         assert not err.value.incomplete
 
 
+    def test_invalid_keyword_fails_at_the_keyword(self):
+        with pytest.raises(ParseError, match="invalid variable name") as err:
+            parse("(q [:a\u00a0b])")
+        assert (err.value.line, err.value.col) == (1, 5)
+
+
 class TestEval:
     def test_define_and_lookup(self):
         values, env = eval_program("(define x 1) x")
