@@ -51,8 +51,9 @@ from .distribution import (
 from .reader import parse
 from .printer import display_value, print_value
 from .interpreter import Environment, eval_expr, eval_program, standard_environment
+from .interpreter import head, marginal_table, read_csv, write_csv
 from .render import to_dot, to_latex, to_text
-from .cli import head, main, marginal_table, read_csv, write_csv
+from .cli import main
 
 __all__ = [
     "__version__",

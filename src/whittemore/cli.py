@@ -1,4 +1,4 @@
-"""Command-line entry point: script runner, REPL, CSV ingestion, inspection.
+"""Command-line entry point: script runner and REPL.
 
 Usage:
   whittemore run <file.wt>            evaluate a script, printing each result
@@ -8,17 +8,18 @@ Usage:
 """
 from __future__ import annotations
 
-import csv
 import os
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from . import __version__
-from .distribution import CategoricalDistribution
-from .errors import EvalError, ParseError, WhittemoreError
+from .errors import ParseError, WhittemoreError
 from .formula import Formula
-from .model import Model, Variable
-from .printer import TextBlock, display_value, print_value
+from .interpreter import eval_expr, eval_program, standard_environment
+from .interpreter import head, marginal_table, read_csv, write_csv  # noqa: F401  re-exported
+from .model import Model
+from .printer import display_value
+from .reader import parse
 
 _USAGE = """\
 usage: whittemore run <file.wt>
@@ -26,76 +27,6 @@ usage: whittemore run <file.wt>
        whittemore [--emit dot|latex] <file.wt>
        whittemore --version
 """
-
-
-def read_csv(path: str) -> list[dict[Variable, Any]]:
-    """Load a CSV file (header row required) as a vector of sample events.
-
-    Cell text is kept as strings; no numeric coercion is applied.
-    """
-    from .errors import DataFormatError
-
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path!r}: {exc.strerror}") from exc
-    with handle:
-        rows = list(csv.reader(handle))
-    if not rows or not any(cell.strip() for cell in rows[0]):
-        raise DataFormatError(f"{path}:1: missing header row")
-    header = [Variable(name) for name in rows[0]]
-    if len(set(header)) != len(header):
-        raise DataFormatError(f"{path}:1: duplicate column name")
-    samples = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        samples.append({v: cell for v, cell in zip(header, row)})
-    return samples
-
-
-def write_csv(path: str, samples: Sequence[Mapping[Any, Any]]) -> None:
-    """Write sample events back out; inverse of read_csv for string cells."""
-    if not samples:
-        raise EvalError("cannot write an empty sample collection")
-    columns = list(samples[0])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([str(c) for c in columns])
-        for sample in samples:
-            writer.writerow([sample[c] for c in columns])
-
-
-def head(samples: Sequence, n: int) -> list:
-    """The first n samples."""
-    if n < 0:
-        raise EvalError(f"head count must be nonnegative, got {n}")
-    return list(samples[:n])
-
-
-_BAR_WIDTH = 40
-
-
-def marginal_table(dist: CategoricalDistribution, variable: Any) -> TextBlock:
-    """A textual marginal distribution: value, probability, and a bar."""
-    v = Variable(variable)
-    support = dist.support
-    if v not in support:
-        from .errors import UnknownVariableError
-
-        raise UnknownVariableError(f"not in distribution: {v!r}")
-    rows = []
-    for value in sorted(support[v], key=str):
-        p = dist.measure({v: value})
-        rows.append((str(value) if isinstance(value, str) else print_value(value), p))
-    width = max(len(label) for label, _ in rows)
-    lines = []
-    for label, p in rows:
-        bar = "#" * round(p * _BAR_WIDTH)
-        lines.append(f"{label.ljust(width)}  {p!r}  {bar}".rstrip())
-    return TextBlock("\n".join(lines))
 
 
 def _color_enabled(stream) -> bool:
@@ -109,8 +40,6 @@ def _print_error(message: str) -> None:
 
 
 def run_script(path: str, emit: str | None = None) -> int:
-    from .interpreter import eval_program
-
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -149,9 +78,6 @@ def _emit(value: Any, emit: str, path: str) -> int:
 
 
 def repl() -> int:
-    from .interpreter import eval_expr, standard_environment
-    from .reader import parse
-
     env = standard_environment()
     color = _color_enabled(sys.stdout)
     prompt = "\x1b[1mwt>\x1b[0m " if color else "wt> "

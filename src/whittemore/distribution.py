@@ -251,16 +251,26 @@ def categorical(samples: Iterable[Mapping[Any, Any]]) -> CategoricalDistribution
     return CategoricalDistribution.from_samples(samples)
 
 
+def _method(distribution, name: str):
+    """The `name` method of a distribution, or an error naming what was given."""
+    method = getattr(distribution, name, None)
+    if not callable(method):
+        raise EstimationError(
+            f"{name} needs a distribution, got {type(distribution).__name__}"
+        )
+    return method
+
+
 def signature(distribution) -> Data:
-    return distribution.signature()
+    return _method(distribution, "signature")()
 
 
 def measure(distribution, event: Mapping[Any, Any]) -> float:
-    return distribution.measure(event)
+    return _method(distribution, "measure")(event)
 
 
 def estimate(distribution, target):
-    return distribution.estimate(target)
+    return _method(distribution, "estimate")(target)
 
 
 class _Evaluator:
@@ -359,7 +369,7 @@ def infer(model: Model, distribution, query: Query):
 
     A Fail from identification is returned as-is.
     """
-    result = identify(model, distribution.signature(), query)
+    result = identify(model, signature(distribution), query)
     if isinstance(result, Fail):
         return result
-    return distribution.estimate(result)
+    return estimate(distribution, result)

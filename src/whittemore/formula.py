@@ -75,14 +75,23 @@ def fraction(numer: Form, denom: Form) -> Fraction:
 
 
 def form_key(f: Form):
-    """Total order on forms, used to canonicalize product factor storage."""
-    if isinstance(f, Prob):
-        return (0, tuple(sorted(f.p)), tuple(sorted(f.given)))
-    if isinstance(f, Sum):
-        return (1, tuple(sorted(f.sub)), form_key(f.body))
-    if isinstance(f, Product):
-        return (2, tuple(form_key(x) for x in f.factors))
-    return (3, form_key(f.numer), form_key(f.denom))
+    """Total order on forms, used to canonicalize product factor storage.
+
+    The key is computed once per form object and kept on it outside the
+    dataclass fields, so equality, hashing and repr never see it.
+    """
+    key = f.__dict__.get("_key")
+    if key is None:
+        if isinstance(f, Prob):
+            key = (0, tuple(sorted(f.p)), tuple(sorted(f.given)))
+        elif isinstance(f, Sum):
+            key = (1, tuple(sorted(f.sub)), form_key(f.body))
+        elif isinstance(f, Product):
+            key = (2, tuple(form_key(x) for x in f.factors))
+        else:
+            key = (3, form_key(f.numer), form_key(f.denom))
+        object.__setattr__(f, "_key", key)
+    return key
 
 
 def count_nodes(f: Form) -> int:

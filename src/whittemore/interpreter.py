@@ -3,16 +3,36 @@
 Evaluation is total and pure: there are no user-defined functions, loops or
 mutation, and define extends the environment functionally (a symbol can never
 be rebound). Strings may be used in place of keywords and vectors in place of
-sets wherever variables or variable collections are expected.
+sets wherever variables or variable collections are expected. The sample
+helpers behind read-csv, head and marginal-table live here too.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+import csv
+from typing import Any, Callable, Mapping, Sequence
 
-from .distribution import as_event, categorical, estimate, infer, measure, signature
-from .errors import EvalError, RedefinitionError, UnboundSymbolError
+from .distribution import (
+    CategoricalDistribution,
+    as_event,
+    categorical,
+    estimate,
+    infer,
+    measure,
+    signature,
+)
+from .errors import (
+    DataFormatError,
+    EstimationError,
+    EvalError,
+    ParseError,
+    RedefinitionError,
+    UnboundSymbolError,
+    UnknownVariableError,
+    WhittemoreError,
+)
 from .identify import Query, identify, make_query
 from .model import Data, Model, Variable, make_model
+from .printer import TextBlock, print_value
 from .reader import Apply, Expr, MapLit, SetLit, Symbol, VectorLit, parse
 
 
@@ -175,19 +195,85 @@ def _op_categorical(args: list):
     return categorical(args[0])
 
 
+def read_csv(path: str) -> list[dict[Variable, Any]]:
+    """Load a CSV file (header row required) as a vector of sample events.
+
+    Cell text is kept as strings; no numeric coercion is applied.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path!r}: {exc.strerror}") from exc
+    with handle:
+        rows = list(csv.reader(handle))
+    if not rows or not any(cell.strip() for cell in rows[0]):
+        raise DataFormatError(f"{path}:1: missing header row")
+    header = [Variable(name) for name in rows[0]]
+    if len(set(header)) != len(header):
+        raise DataFormatError(f"{path}:1: duplicate column name")
+    samples = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        samples.append({v: cell for v, cell in zip(header, row)})
+    return samples
+
+
+def write_csv(path: str, samples: Sequence[Mapping[Any, Any]]) -> None:
+    """Write sample events back out; inverse of read_csv for string cells."""
+    if not samples:
+        raise EvalError("cannot write an empty sample collection")
+    columns = list(samples[0])
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([str(c) for c in columns])
+        for sample in samples:
+            writer.writerow([sample[c] for c in columns])
+
+
+def head(samples: Sequence, n: int) -> list:
+    """The first n samples."""
+    if n < 0:
+        raise EvalError(f"head count must be nonnegative, got {n}")
+    return list(samples[:n])
+
+
+_BAR_WIDTH = 40
+
+
+def marginal_table(dist: CategoricalDistribution, variable: Any) -> TextBlock:
+    """A textual marginal distribution: value, probability, and a bar."""
+    if not isinstance(dist, CategoricalDistribution):
+        raise EstimationError(
+            f"marginal-table needs a categorical distribution, got {type(dist).__name__}"
+        )
+    v = Variable(variable)
+    support = dist.support
+    if v not in support:
+        raise UnknownVariableError(f"not in distribution: {v!r}")
+    rows = []
+    for value in sorted(support[v], key=str):
+        p = dist.measure({v: value})
+        rows.append((str(value) if isinstance(value, str) else print_value(value), p))
+    width = max(len(label) for label, _ in rows)
+    lines = []
+    for label, p in rows:
+        bar = "#" * round(p * _BAR_WIDTH)
+        lines.append(f"{label.ljust(width)}  {p!r}  {bar}".rstrip())
+    return TextBlock("\n".join(lines))
+
+
 def _op_read_csv(args: list):
     if len(args) != 1 or not isinstance(args[0], str):
         raise EvalError("read-csv takes a file path string")
-    from .cli import read_csv
-
     return read_csv(args[0])
 
 
 def _op_head(args: list):
     if len(args) != 2:
         raise EvalError("head takes a sample vector and a count")
-    from .cli import head
-
     samples, n = args
     if not isinstance(samples, (list, tuple)):
         raise EvalError("head requires a vector of samples")
@@ -199,8 +285,6 @@ def _op_head(args: list):
 def _op_marginal_table(args: list):
     if len(args) != 2:
         raise EvalError("marginal-table takes a distribution and a variable")
-    from .cli import marginal_table
-
     return marginal_table(args[0], _as_variable(args[1]))
 
 
@@ -289,8 +373,6 @@ def eval_program(text: str, env: Environment | None = None) -> tuple[list, Envir
     Evaluation errors are re-raised with the position of the top-level
     expression they occurred in.
     """
-    from .errors import ParseError, WhittemoreError
-
     env = env or standard_environment()
     values = []
     for expr in parse(text):

@@ -42,7 +42,13 @@ class Variable(str):
 
 
 def variables(names: Iterable[Any]) -> frozenset[Variable]:
-    """Normalize an iterable of names (strings or Variables) to a variable set."""
+    """Normalize an iterable of names (strings or Variables) to a variable set.
+
+    A frozenset that holds only Variables is already normal and is returned
+    as it is.
+    """
+    if type(names) is frozenset and all(type(n) is Variable for n in names):
+        return names
     return frozenset(Variable(n) for n in names)
 
 
@@ -54,7 +60,7 @@ class Model:
     a frozenset of frozensets, each of size >= 2.
     """
 
-    __slots__ = ("dag", "confounding", "_parent_sets", "_children", "_bipairs")
+    __slots__ = ("dag", "confounding", "_parent_sets", "_children", "_bipairs", "_order")
 
     def __init__(
         self,
@@ -84,24 +90,12 @@ class Model:
                 if c not in vertex_set:
                     raise UnknownVariableError(f"confounding variable {c!r} is not a dag key")
             groups.add(g)
-
-        parent_sets = {v: frozenset(ps) for v, ps in normalized.items()}
-        children: dict[Variable, set[Variable]] = {v: set() for v in normalized}
-        for v, ps in parent_sets.items():
-            for p in ps:
-                children[p].add(v)
-        object.__setattr__(self, "dag", normalized)
-        object.__setattr__(self, "confounding", frozenset(groups))
-        object.__setattr__(self, "_parent_sets", parent_sets)
-        object.__setattr__(
-            self, "_children", {v: frozenset(cs) for v, cs in children.items()}
-        )
-        pairs = set()
-        for g in self.confounding:
-            for a, b in itertools.combinations(sorted(g), 2):
-                pairs.add(frozenset((a, b)))
-        object.__setattr__(self, "_bipairs", frozenset(pairs))
-        _check_acyclic(parent_sets)
+        _build(self, normalized, frozenset(groups))
+        order = _kahn_order(self._parent_sets, self._children)
+        if len(order) != len(normalized):
+            stuck = sorted(vertex_set - set(order))
+            raise CyclicGraphError(f"model contains a directed cycle through {stuck}")
+        object.__setattr__(self, "_order", tuple(order))
 
     def __setattr__(self, name, value):
         raise AttributeError("Model is immutable")
@@ -148,6 +142,36 @@ def make_model(
     return Model(dag, confounding)
 
 
+def _build(
+    m: Model,
+    dag: dict[Variable, tuple[Variable, ...]],
+    confounding: frozenset[frozenset[Variable]],
+    order: tuple[Variable, ...] | None = None,
+) -> Model:
+    """Set every slot of m from a normalized dag and confounding, and return m.
+
+    Nothing is checked: Model(...) calls this after validating user input,
+    subgraph and latent_projection with parts of a model that are valid by
+    construction. `order` is the topological order when known, else None.
+    """
+    parent_sets = {v: frozenset(ps) for v, ps in dag.items()}
+    children: dict[Variable, list[Variable]] = {v: [] for v in dag}
+    for v, ps in dag.items():
+        for p in ps:
+            children[p].append(v)
+    pairs = frozenset(
+        frozenset(pair) for g in confounding for pair in itertools.combinations(g, 2)
+    )
+    setattr_ = object.__setattr__
+    setattr_(m, "dag", dag)
+    setattr_(m, "confounding", confounding)
+    setattr_(m, "_parent_sets", parent_sets)
+    setattr_(m, "_children", {v: frozenset(cs) for v, cs in children.items()})
+    setattr_(m, "_bipairs", pairs)
+    setattr_(m, "_order", order)
+    return m
+
+
 class Data:
     """The signature of a probability function: which joint is available."""
 
@@ -179,20 +203,15 @@ class Data:
         return "<Data [" + " ".join(repr(v) for v in self.joint) + "]>"
 
 
-def _check_acyclic(parent_sets: Mapping[Variable, frozenset[Variable]]) -> None:
-    order = _kahn_order(parent_sets)
-    if len(order) != len(parent_sets):
-        stuck = sorted(set(parent_sets) - set(order))
-        raise CyclicGraphError(f"model contains a directed cycle through {stuck}")
+def _kahn_order(
+    parent_sets: Mapping[Variable, frozenset[Variable]],
+    children: Mapping[Variable, Iterable[Variable]],
+) -> list[Variable]:
+    """Kahn's algorithm with a heap: ties broken by variable name.
 
-
-def _kahn_order(parent_sets: Mapping[Variable, frozenset[Variable]]) -> list[Variable]:
-    # Kahn's algorithm with a heap: ties broken by variable name.
-    children: dict[Variable, list[Variable]] = {v: [] for v in parent_sets}
+    On a cyclic graph the order stops short of the vertices on or below a cycle.
+    """
     indegree = {v: len(ps) for v, ps in parent_sets.items()}
-    for v, ps in parent_sets.items():
-        for p in ps:
-            children[p].append(v)
     ready = [v for v, d in indegree.items() if d == 0]
     heapq.heapify(ready)
     order: list[Variable] = []
@@ -208,28 +227,28 @@ def _kahn_order(parent_sets: Mapping[Variable, frozenset[Variable]]) -> list[Var
 
 def _contained(m: Model, s: Iterable[Any]) -> frozenset[Variable]:
     vs = variables(s)
-    unknown = vs - m.vertices
-    if unknown:
-        raise UnknownVariableError(f"not in model: {sorted(unknown)}")
+    if not vs <= m._parent_sets.keys():
+        raise UnknownVariableError(f"not in model: {sorted(vs - m.vertices)}")
     return vs
 
 
 def topological_order(m: Model) -> list[Variable]:
     """Deterministic topological order: parents first, ties by name."""
-    return _kahn_order(m._parent_sets)
+    if m._order is None:
+        object.__setattr__(m, "_order", tuple(_kahn_order(m._parent_sets, m._children)))
+    return list(m._order)
 
 
 def ancestors(m: Model, s: Iterable[Any]) -> frozenset[Variable]:
     """s together with everything that reaches s along directed edges."""
     seed = _contained(m, s)
+    parent_sets = m._parent_sets
     seen = set(seed)
     stack = list(seed)
     while stack:
-        v = stack.pop()
-        for p in m.parents(v):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
+        new = parent_sets[stack.pop()] - seen
+        seen |= new
+        stack.extend(new)
     return frozenset(seen)
 
 
@@ -237,7 +256,7 @@ def c_components(m: Model) -> frozenset[frozenset[Variable]]:
     """Partition of the vertices into maximal bidirected-connected sets."""
     adjacency: dict[Variable, set[Variable]] = {v: set() for v in m.vertices}
     for pair in m.bidirected_pairs():
-        a, b = sorted(pair)
+        a, b = pair
         adjacency[a].add(b)
         adjacency[b].add(a)
     out = set()
@@ -260,9 +279,22 @@ def c_components(m: Model) -> frozenset[frozenset[Variable]]:
 def subgraph(m: Model, s: Iterable[Any]) -> Model:
     """Induced subgraph over s; confounding sets are intersected with s."""
     keep = _contained(m, s)
-    dag = {v: tuple(p for p in m.dag[v] if p in keep) for v in m.dag if v in keep}
-    confounding = frozenset(g & keep for g in m.confounding if len(g & keep) >= 2)
-    return Model(dag, confounding)
+    dag = {}
+    closed = True  # whether keep holds every parent of its members
+    for v, ps in m.dag.items():
+        if v in keep:
+            if m._parent_sets[v] <= keep:
+                dag[v] = ps
+            else:
+                dag[v] = tuple(p for p in ps if p in keep)
+                closed = False
+    confounding = frozenset(g for g in (g & keep for g in m.confounding) if len(g) >= 2)
+    # Over a parent-closed set, the vertices of m become ready in the same
+    # relative order as in the subgraph, so the ties fall the same way.
+    order = None
+    if closed and m._order is not None:
+        order = tuple(v for v in m._order if v in keep)
+    return _build(object.__new__(Model), dag, confounding, order)
 
 
 def d_separated(
@@ -388,4 +420,4 @@ def latent_projection(m: Model, observed: Iterable[Any]) -> Model:
             pairs.add(frozenset((a, b)))
 
     dag = {v: tuple(sorted(parent_map[v])) for v in sorted(obs)}
-    return Model(dag, frozenset(pairs))
+    return _build(object.__new__(Model), dag, frozenset(pairs))

@@ -147,6 +147,25 @@ class TestMain:
         assert "must be a map" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ("(measure 5 {:a 1})", "1:1: measure needs a distribution, got int"),
+            ("(infer (model {:x []}) 5 (q [:x]))", "1:1: signature needs a distribution, got int"),
+            ("\n  (estimate {:a 1} (q [:a]))", "2:3: estimate needs a distribution, got dict"),
+            ("(signature [1])", "1:1: signature needs a distribution, got list"),
+            ("(marginal-table 5 :x)", "1:1: marginal-table needs a categorical distribution, got int"),
+        ],
+        ids=["measure", "infer", "estimate", "signature", "marginal-table"],
+    )
+    def test_non_distribution_argument_exits_1(self, capsys, tmp_path, script, message):
+        path = tmp_path / "not-a-distribution.wt"
+        path.write_text(script + "\n")
+        code, out, err = run_main(capsys, "run", str(path))
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+
     def test_empty_script(self, capsys, tmp_path):
         path = tmp_path / "empty.wt"
         path.write_text("; nothing here\n")

@@ -251,3 +251,91 @@ def test_projection_yields_valid_model_over_observed(m, observed):
     assert proj.vertices == frozenset(Variable(v) for v in observed)
     for g in proj.confounding:
         assert len(g) >= 2
+
+
+# derived models (subgraphs and projections) are built without re-validation;
+# they must be indistinguishable from the same graph built from user input
+
+
+@st.composite
+def shuffled_models(draw):
+    """Random valid models whose topological order is not their name order."""
+    names = draw(st.permutations(["a", "b", "c", "d", "e", "f"]))
+    names = names[: draw(st.integers(min_value=1, max_value=6))]
+    dag = {v: [p for p in names[:j] if draw(st.booleans())] for j, v in enumerate(names)}
+    groups = draw(
+        st.lists(st.sets(st.sampled_from(names), min_size=2, max_size=3), max_size=3)
+        if len(names) >= 2
+        else st.just([])
+    )
+    return make_model(dag, groups)
+
+
+def assert_same_model(derived, fresh):
+    assert derived == fresh
+    assert repr(derived) == repr(fresh)
+    assert topological_order(derived) == topological_order(fresh)
+    assert c_components(derived) == c_components(fresh)
+    assert derived.bidirected_pairs() == fresh.bidirected_pairs()
+    for v in fresh.vertices:
+        assert derived.children(v) == fresh.children(v)
+
+
+def rebuilt(m):
+    return make_model(m.dag, m.confounding)
+
+
+class TestDerivedModels:
+    @given(shuffled_models(), st.sets(st.sampled_from(["a", "b", "c", "d", "e", "f"])))
+    def test_match_models_built_from_their_parts(self, m, s):
+        s = {v for v in s if v in m.vertices}
+        derived = [
+            subgraph(m, s),
+            subgraph(m, ancestors(m, s)),
+            latent_projection(m, s),
+            subgraph(subgraph(m, s), ancestors(subgraph(m, s), s)),
+            subgraph(latent_projection(m, s), s),
+        ]
+        for d in derived:
+            assert_same_model(d, rebuilt(d))
+
+    def test_non_ancestral_subgraph_orders_afresh(self):
+        m = make_model({"c": [], "a": ["c"], "b": []})
+        assert topological_order(m) == ["b", "c", "a"]
+        assert topological_order(subgraph(m, {"a", "b"})) == ["a", "b"]
+
+    def test_ancestral_subgraph_keeps_the_order(self):
+        m = make_model({"c": [], "a": ["c"], "b": [], "d": ["a", "b"]})
+        assert topological_order(subgraph(m, ancestors(m, {"a"}))) == ["c", "a"]
+
+    def test_plain_string_frozensets_become_variables(self):
+        m = make_model({"x": [], "y": ["x"], "z": ["y"]}, [{"x", "z"}])
+        assert all(type(v) is Variable for v in ancestors(m, frozenset({"y"})))
+        sub = subgraph(m, frozenset({"x", "z"}))
+        assert all(type(v) is Variable for g in sub.confounding for v in g)
+        assert repr(sub) == repr(rebuilt(sub))
+
+    def test_subgraph_still_checks_its_vertices(self, front_door):
+        with pytest.raises(UnknownVariableError):
+            subgraph(front_door, frozenset({Variable("x"), Variable("ghost")}))
+
+
+class TestCachesStayInvisible:
+    def test_topological_order_is_a_fresh_list(self, front_door):
+        for m in (front_door, subgraph(front_door, {"x", "z"})):
+            order = topological_order(m)
+            expected = list(order)
+            order.reverse()
+            order.append(Variable("w"))
+            assert topological_order(m) == expected
+
+    def test_derived_models_are_immutable(self, front_door):
+        for m in (subgraph(front_door, {"x", "z"}), latent_projection(front_door, {"x", "y"})):
+            with pytest.raises(AttributeError):
+                m.dag = {}
+            with pytest.raises(AttributeError):
+                m._order = ()
+
+    def test_derived_repr_matches_a_rebuilt_model(self, front_door):
+        for m in (subgraph(front_door, {"x", "y"}), latent_projection(front_door, {"x", "y"})):
+            assert repr(m) == repr(rebuilt(m))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -22,7 +23,7 @@ from whittemore import (
     simplify_form,
     sum_over,
 )
-from whittemore.formula import count_nodes
+from whittemore.formula import count_nodes, form_key
 
 
 class TestMarginalizePass:
@@ -168,3 +169,20 @@ def test_simplify_preserves_semantics_and_is_idempotent(seed):
         assert evaluate(dist, form, env) == pytest.approx(
             evaluate(dist, simplified, env), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_form_keys_stay_invisible(seed):
+    def build():
+        rng = random.Random(seed)
+        return [_random_form(rng, ["a", "b", "c", "d"]) for _ in range(3)]
+
+    keyed, plain = build(), build()
+    for f in keyed:
+        form_key(f)
+    first, second = Product(tuple(keyed)), Product(tuple(reversed(plain)))
+    assert first.factors == second.factors
+    assert list(first.factors) == sorted(plain, key=form_key)
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert [f.name for f in dataclasses.fields(Product)] == ["factors"]
