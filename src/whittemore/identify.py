@@ -153,11 +153,15 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
     data signature defaults to the full observational joint. Returns Fail
     (not an exception) when the query is provably non-identifiable.
     """
+    if not isinstance(model, Model):
+        raise QueryError(f"expected a model, got {type(model).__name__}")
     if query is None:
         data = Data(sorted(model.vertices))
         query = data_or_query
     else:
         data = data_or_query
+    if not isinstance(data, Data):
+        raise QueryError(f"expected a data signature, got {type(data).__name__}")
     if not isinstance(query, Query):
         raise QueryError(f"expected a query, got {type(query).__name__}")
     if not data.joint_set <= model.vertices:

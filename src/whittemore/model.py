@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from .errors import (
@@ -55,12 +56,15 @@ def variables(names: Iterable[Any]) -> frozenset[Variable]:
 class Model:
     """A validated causal diagram. Instances are immutable once constructed.
 
-    dag maps each variable to its parents; the given parent order is kept for
-    display but carries no meaning (duplicates are rejected). confounding is
-    a frozenset of frozensets, each of size >= 2.
+    dag is a read-only mapping from each variable to its parents; the given
+    parent order is kept for display but carries no meaning (duplicates are
+    rejected). vertices is the frozenset of its keys. confounding is a
+    frozenset of frozensets, each of size >= 2.
     """
 
-    __slots__ = ("dag", "confounding", "_parent_sets", "_children", "_bipairs", "_order")
+    __slots__ = (
+        "dag", "vertices", "confounding", "_parent_sets", "_children", "_siblings", "_order"
+    )
 
     def __init__(
         self,
@@ -100,10 +104,6 @@ class Model:
     def __setattr__(self, name, value):
         raise AttributeError("Model is immutable")
 
-    @property
-    def vertices(self) -> frozenset[Variable]:
-        return frozenset(self.dag)
-
     def parents(self, v: Variable) -> frozenset[Variable]:
         return self._parent_sets[v]
 
@@ -112,7 +112,9 @@ class Model:
 
     def bidirected_pairs(self) -> frozenset[frozenset[Variable]]:
         """Pairwise expansion of the confounding sets."""
-        return self._bipairs
+        return frozenset(
+            frozenset((v, w)) for v, ws in self._siblings.items() for w in ws
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Model):
@@ -159,15 +161,18 @@ def _build(
     for v, ps in dag.items():
         for p in ps:
             children[p].append(v)
-    pairs = frozenset(
-        frozenset(pair) for g in confounding for pair in itertools.combinations(g, 2)
-    )
+    # only confounded vertices get an entry: most vertices have no siblings
+    siblings: dict[Variable, set[Variable]] = {}
+    for g in confounding:
+        for v in g:
+            siblings.setdefault(v, set()).update(g)
     setattr_ = object.__setattr__
-    setattr_(m, "dag", dag)
+    setattr_(m, "dag", MappingProxyType(dag))
+    setattr_(m, "vertices", frozenset(dag))
     setattr_(m, "confounding", confounding)
     setattr_(m, "_parent_sets", parent_sets)
     setattr_(m, "_children", {v: frozenset(cs) for v, cs in children.items()})
-    setattr_(m, "_bipairs", pairs)
+    setattr_(m, "_siblings", {v: frozenset(ws - {v}) for v, ws in siblings.items()})
     setattr_(m, "_order", order)
     return m
 
@@ -227,7 +232,7 @@ def _kahn_order(
 
 def _contained(m: Model, s: Iterable[Any]) -> frozenset[Variable]:
     vs = variables(s)
-    if not vs <= m._parent_sets.keys():
+    if not vs <= m.vertices:
         raise UnknownVariableError(f"not in model: {sorted(vs - m.vertices)}")
     return vs
 
@@ -254,23 +259,16 @@ def ancestors(m: Model, s: Iterable[Any]) -> frozenset[Variable]:
 
 def c_components(m: Model) -> frozenset[frozenset[Variable]]:
     """Partition of the vertices into maximal bidirected-connected sets."""
-    adjacency: dict[Variable, set[Variable]] = {v: set() for v in m.vertices}
-    for pair in m.bidirected_pairs():
-        a, b = pair
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    out = set()
-    unseen = set(m.vertices)
+    siblings = m._siblings
+    out = {frozenset((v,)) for v in m.vertices if v not in siblings}
+    unseen = set(siblings)
     while unseen:
-        start = unseen.pop()
-        comp = {start}
-        stack = [start]
+        comp = {unseen.pop()}
+        stack = list(comp)
         while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
+            new = siblings[stack.pop()] - comp
+            comp |= new
+            stack.extend(new)
         unseen -= comp
         out.add(frozenset(comp))
     return frozenset(out)
@@ -305,57 +303,39 @@ def d_separated(
     Bidirected edges are treated as a latent common parent, matching the
     noise semantics of confounding.
     """
-    source = Variable(a)
+    (source,) = _contained(m, (a,))
     targets = _contained(m, b)
     observed = _contained(m, conditioning)
     if source in targets or (targets & observed) or source in observed:
         raise UnknownVariableError("d-separation arguments must be disjoint")
-
-    parents: dict[Any, set] = {v: set(m.parents(v)) for v in m.vertices}
-    children: dict[Any, set] = {v: set(m.children(v)) for v in m.vertices}
-    for i, pair in enumerate(sorted(m.bidirected_pairs(), key=sorted)):
-        latent = ("latent", i)
-        parents[latent] = set()
-        children[latent] = set(pair)
-        for v in pair:
-            parents[v].add(latent)
+    parents, children, siblings = m._parent_sets, m._children, m._siblings
 
     # ancestors of the conditioning set, for collider activation
     anc_z = set(observed)
     stack = list(observed)
     while stack:
-        v = stack.pop()
-        for p in parents[v]:
-            if p not in anc_z:
-                anc_z.add(p)
-                stack.append(p)
+        new = parents[stack.pop()] - anc_z
+        anc_z |= new
+        stack.extend(new)
 
     # Shachter-style reachability over (vertex, arrival direction) states
     frontier = [(source, "up")]
     visited: set = set()
-    reached: set = set()
     while frontier:
         state = frontier.pop()
         if state in visited:
             continue
         visited.add(state)
         v, direction = state
+        if v in targets:
+            return False
         if v not in observed:
-            reached.add(v)
-            if targets & reached:
-                return False
-        if direction == "up" and v not in observed:
-            for p in parents[v]:
-                frontier.append((p, "up"))
-            for c in children[v]:
-                frontier.append((c, "down"))
-        elif direction == "down":
-            if v not in observed:
-                for c in children[v]:
-                    frontier.append((c, "down"))
-            if v in anc_z:
-                for p in parents[v]:
-                    frontier.append((p, "up"))
+            frontier.extend((c, "down") for c in children[v])
+        if direction == "up" and v not in observed or direction == "down" and v in anc_z:
+            # leaving v upward; a bidirected edge is a latent parent, so the
+            # path goes on down into each sibling
+            frontier.extend((p, "up") for p in parents[v])
+            frontier.extend((w, "down") for w in siblings.get(v, ()))
     return True
 
 

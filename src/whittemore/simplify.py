@@ -2,7 +2,9 @@
 
 Every rule maps a valid form to a strictly smaller valid form denoting the
 same probability function, so the pipeline terminates. Rules never move a
-subterm across a sum that captures one of its variables.
+subterm across a sum that captures one of its variables. Every rule returns
+a node whose children are already normal, so one bottom-up sweep that
+rewrites each node until no rule applies reaches the fixpoint.
 """
 from __future__ import annotations
 
@@ -98,27 +100,19 @@ def _sweep(f: Form, rules: tuple[Rule, ...]) -> Form:
     return _apply_at_node(f, rules)
 
 
-def _fixpoint(f: Form, rules: tuple[Rule, ...]) -> Form:
-    while True:
-        out = _sweep(f, rules)
-        if out == f:
-            return out
-        f = out
-
-
 def marginalize_pass(f: Form) -> Form:
     """Collapse sums over variables of an atomic joint, bottom-up to fixpoint."""
-    return _fixpoint(f, (_rule_marginalize,))
+    return _sweep(f, (_rule_marginalize,))
 
 
 def condition_pass(f: Form) -> Form:
     """Collapse fractions of nested atomic terms into conditionals."""
-    return _fixpoint(f, (_rule_condition,))
+    return _sweep(f, (_rule_condition,))
 
 
 def simplify_form(f: Form) -> Form:
     """Run all rewrite rules to a global fixpoint."""
-    return _fixpoint(f, _SIMPLIFY_RULES)
+    return _sweep(f, _SIMPLIFY_RULES)
 
 
 def simplify(f: Formula | Form) -> Formula | Form:

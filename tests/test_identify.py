@@ -126,6 +126,14 @@ class TestIdentify:
         with pytest.raises(UnknownVariableError):
             identify(front_door, Data(["x", "y", "w"]), make_query(["y"], do=["x"]))
 
+    def test_non_model_is_a_query_error(self):
+        with pytest.raises(QueryError, match="expected a model, got dict"):
+            identify({"x": []}, make_query(["x"]))
+
+    def test_non_data_signature_is_a_query_error(self, front_door):
+        with pytest.raises(QueryError, match="expected a data signature, got list"):
+            identify(front_door, ["x", "y"], make_query(["y"], do=["x"]))
+
 
 class TestFreeVariables:
     def test_front_door_formula(self):

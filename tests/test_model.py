@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from whittemore.errors import (
     VariableNameError,
 )
 from whittemore.model import d_separated
+from whittemore.printer import print_value
 
 
 def comp_sets(m):
@@ -178,6 +181,10 @@ class TestDSeparation:
     def test_bidirected_edge_connects(self, front_door):
         assert not d_separated(front_door, "x", ["y"], ["z"])
 
+    def test_unknown_source(self, front_door):
+        with pytest.raises(UnknownVariableError):
+            d_separated(front_door, "nope", ["y"])
+
 
 class TestData:
     def test_equality_ignores_order(self):
@@ -203,7 +210,7 @@ def models(draw):
         dag[v] = parents
     pairs = [
         pair
-        for pair in __import__("itertools").combinations(names, 2)
+        for pair in itertools.combinations(names, 2)
         if draw(st.booleans()) and draw(st.booleans())
     ]
     return make_model(dag, [set(p) for p in pairs])
@@ -251,6 +258,56 @@ def test_projection_yields_valid_model_over_observed(m, observed):
     assert proj.vertices == frozenset(Variable(v) for v in observed)
     for g in proj.confounding:
         assert len(g) >= 2
+
+
+def moralised_separation(m, a, b, z):
+    """d-separation by the moralised ancestral graph, each bidirected edge an
+    explicit latent parent of its two ends."""
+    parents = {v: set(m.parents(v)) for v in m.vertices}
+    for i, (s, t) in enumerate(tuple(p) for p in m.bidirected_pairs()):
+        parents[("latent", i)] = set()
+        parents[s].add(("latent", i))
+        parents[t].add(("latent", i))
+    keep, stack = {a, *b, *z}, [a, *b, *z]
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in keep:
+                keep.add(p)
+                stack.append(p)
+    edges = {v: set() for v in keep}
+    for v in keep:
+        for p in parents[v]:
+            edges[v].add(p)
+            edges[p].add(v)
+        for p, q in itertools.combinations(parents[v], 2):
+            edges[p].add(q)
+            edges[q].add(p)
+    seen, stack = {a}, [a]
+    while stack:
+        for w in edges[stack.pop()]:
+            if w not in seen and w not in z:
+                seen.add(w)
+                stack.append(w)
+    return not (seen & set(b))
+
+
+@st.composite
+def separation_queries(draw):
+    names = ["a", "b", "c", "d", "e", "f", "g"][: draw(st.integers(2, 7))]
+    dag = {v: [p for p in names[:j] if draw(st.booleans())] for j, v in enumerate(names)}
+    groups = draw(st.lists(st.sets(st.sampled_from(names), min_size=2, max_size=3), max_size=3))
+    source = draw(st.sampled_from(names))
+    rest = [v for v in names if v != source]
+    roles = [draw(st.sampled_from(["target", "given", "neither"])) for _ in rest]
+    b = [v for v, r in zip(rest, roles) if r == "target"] or rest[:1]
+    z = [v for v, r in zip(rest, roles) if r == "given" and v not in b]
+    return make_model(dag, groups), source, b, z
+
+
+@given(separation_queries())
+def test_d_separated_matches_the_moralised_ancestral_graph(query):
+    m, a, b, z = query
+    assert d_separated(m, a, b, z) == moralised_separation(m, a, set(b), set(z))
 
 
 # derived models (subgraphs and projections) are built without re-validation;
@@ -335,6 +392,13 @@ class TestCachesStayInvisible:
                 m.dag = {}
             with pytest.raises(AttributeError):
                 m._order = ()
+
+    def test_dag_is_read_only(self, front_door):
+        before = (repr(front_door), print_value(front_door))
+        with pytest.raises(TypeError):
+            front_door.dag["x"] = ("y",)
+        assert front_door == rebuilt(front_door)
+        assert (repr(front_door), print_value(front_door)) == before
 
     def test_derived_repr_matches_a_rebuilt_model(self, front_door):
         for m in (subgraph(front_door, {"x", "y"}), latent_projection(front_door, {"x", "y"})):

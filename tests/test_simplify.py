@@ -163,6 +163,9 @@ def test_simplify_preserves_semantics_and_is_idempotent(seed):
     form = _random_form(rng, sorted(names))
     simplified = simplify_form(form)
     assert simplify_form(simplified) == simplified
+    for single_rule in (marginalize_pass, condition_pass):
+        once = single_rule(form)
+        assert single_rule(once) == once
     assert free_variables(simplified) == free_variables(form)
     assert count_nodes(simplified) <= count_nodes(form)
     for env in _assignments(dist, form):
