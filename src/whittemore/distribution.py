@@ -9,28 +9,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any
 
 from .errors import DataFormatError, EstimationError, UnknownVariableError
 from .formula import Fail, Form, Formula, Fraction, Prob, Product, Sum, free_variables
 from .identify import Query, identify
-from .model import Data, Model, Variable
+from .model import Data, Model, Variable, as_event
 
 Event = Mapping[Variable, Any]
 
 _NORMALIZATION_TOL = 1e-9
-
-
-def as_event(value: Any, what: str = "event") -> dict[Variable, Any]:
-    """A map of variable names to values, rekeyed by Variable."""
-    if not isinstance(value, Mapping):
-        raise DataFormatError(f"{what} must be a map of variables to values, got {value!r}")
-    event = {}
-    for k, v in value.items():
-        if not isinstance(k, str):
-            raise DataFormatError(f"{what} has a non-string key {k!r}")
-        event[Variable(k)] = v
-    return event
 
 
 def _mass(table: Mapping[tuple, float], values: tuple) -> float:
@@ -248,6 +237,10 @@ class CategoricalDistribution:
 
 def categorical(samples: Iterable[Mapping[Any, Any]]) -> CategoricalDistribution:
     """Infer an empirical categorical joint from a vector of sample events."""
+    if not isinstance(samples, Iterable):
+        raise DataFormatError(
+            f"categorical needs a collection of sample events, got {type(samples).__name__}"
+        )
     return CategoricalDistribution.from_samples(samples)
 
 

@@ -1,14 +1,19 @@
-"""Causal queries and the complete identification algorithm.
+"""Causal queries and the identification algorithm.
 
 identify compiles P(effect | do, given) against a causal diagram into a
 probability formula over the available joint, or returns Fail with a hedge
-witness when no such formula exists. The recursion is the standard complete
-algorithm of Shpitser & Pearl (2006); conditional queries are reduced to the
-unconditional case by a fraction.
+witness. The recursion is the standard ID algorithm of Shpitser & Pearl
+(2006), which is complete for unconditional queries: there, Fail means that
+no such formula exists. A conditional query is reduced to the ratio
+P(y, z | do(x)) / sum_y P(y, z | do(x)), so it fails whenever that joint is
+not identifiable, even where the conditional is. For example, with x -> y,
+x -> z and x, z confounded, P(y | do(x), z) is identifiable but identify
+returns Fail. The conditional algorithm (IDC) that closes this gap is not
+implemented.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import QueryError, UnknownVariableError
 from .formula import (
@@ -18,7 +23,6 @@ from .formula import (
     Fraction,
     Hedge,
     Prob,
-    Sum,
     free_variables,
     product,
     sum_over,
@@ -28,9 +32,11 @@ from .model import (
     Model,
     Variable,
     ancestors,
+    as_event,
     c_components,
     d_separated,
     latent_projection,
+    names,
     subgraph,
     topological_order,
     variables,
@@ -43,15 +49,9 @@ def _normalize_part(value, what: str):
     if value is None:
         return (), {}
     if isinstance(value, Mapping):
-        out = {}
-        for k, v in value.items():
-            out[Variable(k)] = v
-        if len(out) != len(value):
-            raise QueryError(f"duplicate variable in {what}")
-        return tuple(out), dict(out)
-    if isinstance(value, (str, Variable)):
-        value = (value,)
-    vs = tuple(Variable(v) for v in value)
+        event = as_event(value, what)
+        return tuple(event), event
+    vs = names(value, what)
     if len(set(vs)) != len(vs):
         raise QueryError(f"duplicate variable in {what}")
     return vs, None
@@ -151,7 +151,9 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
 
     Callable as identify(model, query) or identify(model, data, query); the
     data signature defaults to the full observational joint. Returns Fail
-    (not an exception) when the query is provably non-identifiable.
+    (not an exception) when the recursion meets a hedge: proof that an
+    unconditional query is not identifiable, but not always for a
+    conditional one (see the module docstring).
     """
     if not isinstance(model, Model):
         raise QueryError(f"expected a model, got {type(model).__name__}")

@@ -2,18 +2,24 @@
 
 Evaluation is total and pure: there are no user-defined functions, loops or
 mutation, and define extends the environment functionally (a symbol can never
-be rebound). Strings may be used in place of keywords and vectors in place of
-sets wherever variables or variable collections are expected. The sample
-helpers behind read-csv, head and marginal-table live here too.
+be rebound). An operator is one row of `_OPERATORS`: the argument counts it
+accepts, its usage text, and the library call it makes. The interpreter checks
+only the count; the library reads every argument as it would a Python
+caller's, so strings stand in for keywords and vectors for sets there too.
+Only data (the surrogate-experiment error) and q (its keyword pairs) have code
+of their own. The sample helpers behind read-csv, head and marginal-table live
+here too.
 """
 from __future__ import annotations
 
 import csv
-from typing import Any, Callable, Mapping, Sequence
+import os
+import sys
+from collections.abc import Callable, Container, Mapping, Sequence
+from typing import Any
 
 from .distribution import (
     CategoricalDistribution,
-    as_event,
     categorical,
     estimate,
     infer,
@@ -31,7 +37,7 @@ from .errors import (
     WhittemoreError,
 )
 from .identify import Query, identify, make_query
-from .model import Data, Model, Variable, make_model
+from .model import Data, Variable, make_model
 from .printer import TextBlock, print_value
 from .reader import Apply, Expr, MapLit, SetLit, Symbol, VectorLit, parse
 
@@ -72,134 +78,34 @@ def standard_environment() -> Environment:
     return Environment()
 
 
-def _as_variable(value: Any) -> Variable:
-    if isinstance(value, (Variable, str)):
-        return Variable(value)
-    raise EvalError(f"expected a variable name, got {value!r}")
-
-
-def _as_variable_collection(value: Any, what: str) -> list[Variable]:
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_as_variable(v) for v in value]
-    if isinstance(value, (Variable, str)):
-        return [Variable(value)]
-    raise EvalError(f"{what} must be a vector or set of variables, got {value!r}")
-
-
-def _op_model(args: list) -> Model:
-    if not args:
-        raise EvalError("model requires a dag map")
-    dag = args[0]
-    if not isinstance(dag, Mapping):
-        raise EvalError(f"model dag must be a map, got {dag!r}")
-    dag_norm = {
-        _as_variable(k): _as_variable_collection(v, "parent list") for k, v in dag.items()
-    }
-    confounding = [
-        _as_variable_collection(group, "confounding set") for group in args[1:]
-    ]
-    return make_model(dag_norm, confounding)
-
-
-def _op_data(args: list) -> Data:
-    if len(args) != 1:
-        if len(args) >= 2 and args[1] == Variable("do"):
+def _op_data(joint, *rest) -> Data:
+    if rest:
+        if rest[0] == "do":
             raise EvalError("surrogate-experiment data signatures are not supported")
         raise EvalError("data takes exactly one joint argument")
-    return Data(_as_variable_collection(args[0], "joint"))
+    return Data(joint)
 
 
-def _query_part(value: Any, what: str):
-    if isinstance(value, Mapping):
-        return as_event(value, what)
-    return _as_variable_collection(value, what)
-
-
-def _op_q(args: list) -> Query:
-    if not args:
-        raise EvalError("q requires an effect argument")
-    effect = args[0]
-    if isinstance(effect, Mapping):
-        effect = as_event(effect, "effect")
-    else:
-        effect = _as_variable_collection(effect, "effect")
-    rest = args[1:]
+def _op_q(effect, *rest) -> Query:
     if len(rest) % 2:
         raise EvalError("q keyword arguments must come in :do/:given value pairs")
-    do = given = None
+    parts = {}
     for marker, value in zip(rest[::2], rest[1::2]):
-        if marker == Variable("do"):
-            if do is not None:
-                raise EvalError("duplicate :do argument")
-            do = _query_part(value, "do")
-        elif marker == Variable("given"):
-            if given is not None:
-                raise EvalError("duplicate :given argument")
-            given = _query_part(value, "given")
-        else:
+        if marker not in ("do", "given"):
             raise EvalError(f"unknown keyword argument {marker!r} (expected :do or :given)")
-    return make_query(effect, do, given)
+        if marker in parts:
+            raise EvalError(f"duplicate :{marker} argument")
+        parts[marker] = value
+    return make_query(effect, parts.get("do"), parts.get("given"))
 
 
-def _op_identify(args: list):
-    if len(args) == 2:
-        model, query = args
-        data = None
-    elif len(args) == 3:
-        model, data, query = args
-    else:
-        raise EvalError("identify takes (identify model data? query)")
-    if not isinstance(model, Model):
-        raise EvalError(f"identify requires a model, got {model!r}")
-    if data is not None and not isinstance(data, Data):
-        raise EvalError(f"identify data argument must be a data signature, got {data!r}")
-    if not isinstance(query, Query):
-        raise EvalError(f"identify requires a query, got {query!r}")
-    if data is None:
-        return identify(model, query)
-    return identify(model, data, query)
-
-
-def _op_estimate(args: list):
-    if len(args) != 2:
-        raise EvalError("estimate takes a distribution and a formula or query")
-    return estimate(args[0], args[1])
-
-
-def _op_measure(args: list):
-    if len(args) != 2:
-        raise EvalError("measure takes a distribution and an event map")
-    return measure(args[0], args[1])
-
-
-def _op_signature(args: list):
-    if len(args) != 1:
-        raise EvalError("signature takes a distribution")
-    return signature(args[0])
-
-
-def _op_infer(args: list):
-    if len(args) != 3:
-        raise EvalError("infer takes a model, a distribution and a query")
-    model, dist, query = args
-    if not isinstance(model, Model):
-        raise EvalError(f"infer requires a model, got {model!r}")
-    if not isinstance(query, Query):
-        raise EvalError(f"infer requires a query, got {query!r}")
-    return infer(model, dist, query)
-
-
-def _op_categorical(args: list):
-    if len(args) != 1 or not isinstance(args[0], (list, tuple)):
-        raise EvalError("categorical takes a vector of sample events")
-    return categorical(args[0])
-
-
-def read_csv(path: str) -> list[dict[Variable, Any]]:
+def read_csv(path: str | os.PathLike) -> list[dict[Variable, Any]]:
     """Load a CSV file (header row required) as a vector of sample events.
 
     Cell text is kept as strings; no numeric coercion is applied.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise DataFormatError(f"read-csv needs a file path string, got {type(path).__name__}")
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -235,6 +141,10 @@ def write_csv(path: str, samples: Sequence[Mapping[Any, Any]]) -> None:
 
 def head(samples: Sequence, n: int) -> list:
     """The first n samples."""
+    if not isinstance(samples, (list, tuple)):
+        raise EvalError(f"head needs a vector of samples, got {type(samples).__name__}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise EvalError(f"head count must be an integer, got {n!r}")
     if n < 0:
         raise EvalError(f"head count must be nonnegative, got {n}")
     return list(samples[:n])
@@ -265,42 +175,26 @@ def marginal_table(dist: CategoricalDistribution, variable: Any) -> TextBlock:
     return TextBlock("\n".join(lines))
 
 
-def _op_read_csv(args: list):
-    if len(args) != 1 or not isinstance(args[0], str):
-        raise EvalError("read-csv takes a file path string")
-    return read_csv(args[0])
+_ONE_OR_MORE = range(1, sys.maxsize)
 
-
-def _op_head(args: list):
-    if len(args) != 2:
-        raise EvalError("head takes a sample vector and a count")
-    samples, n = args
-    if not isinstance(samples, (list, tuple)):
-        raise EvalError("head requires a vector of samples")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise EvalError("head count must be an integer")
-    return head(samples, n)
-
-
-def _op_marginal_table(args: list):
-    if len(args) != 2:
-        raise EvalError("marginal-table takes a distribution and a variable")
-    return marginal_table(args[0], _as_variable(args[1]))
-
-
-_OPERATORS: dict[str, Callable[[list], Any]] = {
-    "model": _op_model,
-    "data": _op_data,
-    "q": _op_q,
-    "identify": _op_identify,
-    "estimate": _op_estimate,
-    "measure": _op_measure,
-    "signature": _op_signature,
-    "infer": _op_infer,
-    "categorical": _op_categorical,
-    "read-csv": _op_read_csv,
-    "head": _op_head,
-    "marginal-table": _op_marginal_table,
+# name -> (accepted argument counts, usage, call). Each call looks its
+# function up in this module when it runs, so a replaced module attribute
+# (a tracer's wrapper, say) is the one called.
+_OPERATORS: dict[str, tuple[Container[int], str, Callable[..., Any]]] = {
+    "model": (_ONE_OR_MORE, "(model dag confounding-set*)",
+              lambda dag, *groups: make_model(dag, groups)),
+    "data": (_ONE_OR_MORE, "(data joint)", lambda *a: _op_data(*a)),
+    "q": (_ONE_OR_MORE, "(q effect :do do? :given given?)", lambda *a: _op_q(*a)),
+    "identify": ((2, 3), "(identify model data? query)", lambda *a: identify(*a)),
+    "estimate": ((2,), "(estimate distribution formula-or-query)", lambda *a: estimate(*a)),
+    "measure": ((2,), "(measure distribution event)", lambda *a: measure(*a)),
+    "signature": ((1,), "(signature distribution)", lambda *a: signature(*a)),
+    "infer": ((3,), "(infer model distribution query)", lambda *a: infer(*a)),
+    "categorical": ((1,), "(categorical samples)", lambda *a: categorical(*a)),
+    "read-csv": ((1,), "(read-csv path)", lambda *a: read_csv(*a)),
+    "head": ((2,), "(head samples count)", lambda *a: head(*a)),
+    "marginal-table": ((2,), "(marginal-table distribution variable)",
+                       lambda *a: marginal_table(*a)),
 }
 
 
@@ -339,14 +233,19 @@ def eval_expr(env: Environment, expr: Expr) -> tuple[Any, Environment]:
     if isinstance(expr, Apply):
         if expr.op.name == "define":
             return _eval_define(env, expr)
-        handler = _OPERATORS.get(expr.op.name)
-        if handler is None:
+        entry = _OPERATORS.get(expr.op.name)
+        if entry is None:
             raise EvalError(f"unknown operator: {expr.op.name}")
+        counts, usage, call = entry
         args = []
         for arg in expr.args:
             value, env = eval_expr(env, arg)
             args.append(value)
-        return handler(args), env
+        if len(args) not in counts:
+            raise EvalError(
+                f"wrong number of arguments to {expr.op.name} ({len(args)}): expected {usage}"
+            )
+        return call(*args), env
     raise EvalError(f"cannot evaluate {expr!r}")
 
 

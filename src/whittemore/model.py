@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from .errors import (
     ConfoundingArityError,
     CyclicGraphError,
+    DataFormatError,
     DuplicateParentError,
+    ModelError,
     UnknownVariableError,
     VariableNameError,
 )
@@ -31,26 +34,52 @@ class Variable(str):
     def __new__(cls, name: Any) -> "Variable":
         if isinstance(name, Variable):
             return name
-        text = str(name)
-        if not text:
+        if not isinstance(name, str):
+            raise VariableNameError(f"expected a variable name, got {name!r}")
+        if not name:
             raise VariableNameError("variable name must be non-empty")
-        if any(ch.isspace() or ch in _RESERVED_CHARS for ch in text):
-            raise VariableNameError(f"invalid variable name: {text!r}")
-        return str.__new__(cls, text)
+        if any(ch.isspace() or ch in _RESERVED_CHARS for ch in name):
+            raise VariableNameError(f"invalid variable name: {name!r}")
+        return str.__new__(cls, name)
 
     def __repr__(self) -> str:
         return ":" + str.__str__(self)
 
 
-def variables(names: Iterable[Any]) -> frozenset[Variable]:
-    """Normalize an iterable of names (strings or Variables) to a variable set.
+def names(value: Any, what: str = "variables") -> tuple[Variable, ...]:
+    """Read outside input as variable names, in the given order.
+
+    A string is one name; any other iterable that is not a map is a
+    collection of names. Anything else is a VariableNameError.
+    """
+    if isinstance(value, str):
+        return (Variable(value),)
+    if isinstance(value, Mapping) or not isinstance(value, Iterable):
+        raise VariableNameError(f"{what} must be a name or a collection of names, got {value!r}")
+    return tuple([Variable(v) for v in value])
+
+
+def variables(value: Any, what: str = "variables") -> frozenset[Variable]:
+    """Normalize a name or collection of names (see `names`) to a variable set.
 
     A frozenset that holds only Variables is already normal and is returned
     as it is.
     """
-    if type(names) is frozenset and all(type(n) is Variable for n in names):
-        return names
-    return frozenset(Variable(n) for n in names)
+    if type(value) is frozenset and all(type(n) is Variable for n in value):
+        return value
+    return frozenset(names(value, what))
+
+
+def as_event(value: Any, what: str = "event") -> dict[Variable, Any]:
+    """A map of variable names to values, rekeyed by Variable."""
+    if not isinstance(value, Mapping):
+        raise DataFormatError(f"{what} must be a map of variables to values, got {value!r}")
+    event = {}
+    for k, v in value.items():
+        if not isinstance(k, str):
+            raise DataFormatError(f"{what} has a non-string key {k!r}")
+        event[Variable(k)] = v
+    return event
 
 
 class Model:
@@ -71,10 +100,16 @@ class Model:
         dag: Mapping[Any, Iterable[Any]],
         confounding: Iterable[Iterable[Any]] = (),
     ):
+        if not isinstance(dag, Mapping):
+            raise ModelError(f"model dag must be a map, got {type(dag).__name__}")
+        if not isinstance(confounding, Iterable):
+            raise ModelError(
+                f"confounding must be a collection of sets, got {type(confounding).__name__}"
+            )
         normalized: dict[Variable, tuple[Variable, ...]] = {}
         for var, parents in dag.items():
             v = Variable(var)
-            ps = tuple(Variable(p) for p in parents)
+            ps = names(parents, f"parents of {v!r}")
             if len(set(ps)) != len(ps):
                 raise DuplicateParentError(f"duplicate parent in parents of {v!r}")
             normalized[v] = ps
@@ -85,7 +120,7 @@ class Model:
                     raise UnknownVariableError(f"parent {p!r} of {v!r} is not a dag key")
         groups = set()
         for group in confounding:
-            g = variables(group)
+            g = variables(group, "confounding set")
             if len(g) < 2:
                 raise ConfoundingArityError(
                     f"confounding set must have at least 2 variables, got {sorted(g)}"
@@ -183,7 +218,7 @@ class Data:
     __slots__ = ("joint",)
 
     def __init__(self, joint: Iterable[Any]):
-        vs = tuple(Variable(v) for v in joint)
+        vs = names(joint, "data joint")
         if not vs:
             raise UnknownVariableError("data signature must name at least one variable")
         if len(set(vs)) != len(vs):
@@ -298,15 +333,16 @@ def subgraph(m: Model, s: Iterable[Any]) -> Model:
 def d_separated(
     m: Model, a: Any, b: Iterable[Any], conditioning: Iterable[Any] = ()
 ) -> bool:
-    """Whether a is d-separated from every variable in b given `conditioning`.
+    """Whether every variable in a is d-separated from every variable in b
+    given `conditioning`.
 
     Bidirected edges are treated as a latent common parent, matching the
     noise semantics of confounding.
     """
-    (source,) = _contained(m, (a,))
+    sources = _contained(m, a)
     targets = _contained(m, b)
     observed = _contained(m, conditioning)
-    if source in targets or (targets & observed) or source in observed:
+    if (sources & targets) or (targets & observed) or (sources & observed):
         raise UnknownVariableError("d-separation arguments must be disjoint")
     parents, children, siblings = m._parent_sets, m._children, m._siblings
 
@@ -319,7 +355,7 @@ def d_separated(
         stack.extend(new)
 
     # Shachter-style reachability over (vertex, arrival direction) states
-    frontier = [(source, "up")]
+    frontier = [(s, "up") for s in sources]
     visited: set = set()
     while frontier:
         state = frontier.pop()

@@ -14,7 +14,7 @@ from typing import Any, Callable, Mapping
 
 from .distribution import CategoricalDistribution
 from .errors import UnknownVariableError
-from .model import Model, Variable, topological_order
+from .model import Model, Variable, as_event, topological_order
 
 NoiseGroup = frozenset[Variable]
 Mechanism = Callable[[Mapping[Variable, Any], Mapping[NoiseGroup, Any]], Any]
@@ -67,7 +67,7 @@ def exact_joint(scm: DiscreteSCM) -> CategoricalDistribution:
 def intervene(scm: DiscreteSCM, do: Mapping[Any, Any]) -> DiscreteSCM:
     """Replace the mechanisms of the do-variables with constants and cut
     their incoming edges; noise is untouched."""
-    fixed = {Variable(k): v for k, v in do.items()}
+    fixed = as_event(do, "do")
     for v, value in fixed.items():
         if v not in scm.model.vertices:
             raise UnknownVariableError(f"cannot intervene on unknown variable {v!r}")

@@ -96,6 +96,27 @@ class TestMarginalTable:
             marginal_table(kidney, "age")
 
 
+# the whole stdout of `whittemore run demo/<name>.wt`
+DEMO_OUTPUT = {
+    "diagram": (
+        "(model {:x [], :y [:x :z_1 :z_2], :z_1 [:x], :z_2 [:z_1]} #{:x :z_2} #{:y :z_1})\n"
+    ),
+    "front-door": (
+        "(model {:x [], :y [:z], :z [:x]} #{:x :y})\n"
+        "Σ_{z} [Σ_{x} P(y | x, z) P(x)] P(z | x)\n"
+        "  where: x=0\n"
+    ),
+    "simpson": (
+        "#categorical[:size :success :treatment]\n"
+        "(model {:size [], :success [:treatment :size], :treatment [:size]})\n"
+        "0.78\n"
+        "0.8257142857142857\n"
+        "0.8325462173856037\n"
+        "0.778875\n"
+    ),
+}
+
+
 def run_main(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -227,11 +248,11 @@ class TestMain:
     def test_emit_bad_format(self, capsys):
         assert run_main(capsys, "--emit", "png", "x.wt")[0] == 2
 
-    def test_script_mode_is_deterministic(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("demo", sorted(DEMO_OUTPUT))
+    def test_script_mode_is_deterministic(self, capsys, monkeypatch, demo):
         monkeypatch.chdir(REPO_ROOT)
-        _, first, _ = run_main(capsys, "run", "demo/simpson.wt")
-        _, second, _ = run_main(capsys, "run", "demo/simpson.wt")
-        assert first == second
+        for _ in range(2):
+            assert run_main(capsys, "run", f"demo/{demo}.wt") == (0, DEMO_OUTPUT[demo], "")
 
 
 class TestRepl:

@@ -11,6 +11,7 @@ from whittemore import (
     c_components,
     latent_projection,
     make_model,
+    prob,
     subgraph,
     topological_order,
 )
@@ -20,6 +21,7 @@ from whittemore.errors import (
     DuplicateParentError,
     UnknownVariableError,
     VariableNameError,
+    WhittemoreError,
 )
 from whittemore.model import d_separated
 from whittemore.printer import print_value
@@ -193,6 +195,41 @@ class TestData:
     def test_requires_variables(self):
         with pytest.raises(UnknownVariableError):
             Data([])
+
+
+_FORK = make_model({"x1": [], "y": ["x1"], "z": ["x1"]})
+
+
+def _outcome(call, names):
+    try:
+        return "value", call(names)
+    except WhittemoreError as exc:  # an error is an outcome too; both sides must agree
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: ancestors(_FORK, s),
+        lambda s: subgraph(_FORK, s),
+        lambda s: latent_projection(_FORK, s),
+        lambda s: d_separated(_FORK, s, ["y"], ["z"]),
+        lambda s: d_separated(_FORK, "y", s),
+        lambda s: d_separated(_FORK, "y", ["z"], s),
+        lambda s: Data(s),
+        lambda s: make_model({"x1": [], "y": s}),
+        lambda s: make_model({"x1": [], "y": []}, [s]),
+        lambda s: prob(s),
+        lambda s: prob(["y"], s),
+    ],
+    ids=[
+        "ancestors", "subgraph", "latent_projection", "d_separated-source",
+        "d_separated-targets", "d_separated-conditioning", "Data", "make_model-parents",
+        "make_model-confounding", "prob", "prob-given",
+    ],
+)
+def test_a_bare_name_is_one_name(call):
+    assert _outcome(call, "x1") == _outcome(call, ["x1"])
 
 
 # property tests over random small diagrams
