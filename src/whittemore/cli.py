@@ -15,7 +15,7 @@ from typing import Any, Sequence
 from . import __version__
 from .errors import ParseError, WhittemoreError
 from .formula import Formula
-from .interpreter import eval_expr, eval_program, standard_environment
+from .interpreter import eval_program, eval_top_level, standard_environment
 from .interpreter import head, marginal_table, read_csv, write_csv  # noqa: F401  re-exported
 from .model import Model
 from .printer import display_value
@@ -119,7 +119,7 @@ def repl() -> int:
         buffer = ""
         try:
             for expr in exprs:
-                value, env = eval_expr(env, expr)
+                value, env = eval_top_level(env, expr)
                 print(display_value(value))
         except WhittemoreError as exc:
             _print_error(str(exc))

@@ -187,13 +187,7 @@ class CategoricalDistribution:
         open_vars = tuple(sorted(effect - set(target.bindings)))
         if not open_vars:
             return evaluate(self, target)
-        for v in open_vars:
-            if v not in self._support:
-                raise UnknownVariableError(f"not in distribution: {v!r}")
-        cells: dict[tuple, float] = {}
-        for combo in itertools.product(*(self._support[v] for v in open_vars)):
-            context = dict(zip(open_vars, combo))
-            cells[combo] = evaluate(self, target, context)
+        cells = dict(_Evaluator(self).each(target.form, target.bindings, open_vars))
         mass = math.fsum(cells.values())
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
             raise EstimationError(
@@ -271,6 +265,8 @@ class _Evaluator:
 
     Each P(·) term is resolved on its first visit to its variables and
     marginal tables, so a summed assignment costs tuple builds and lookups.
+    `each` enumerates the joint values of a set of variables, both for a Sum
+    and for the cells of an estimated distribution.
     """
 
     def __init__(self, dist: CategoricalDistribution):
@@ -293,17 +289,9 @@ class _Evaluator:
                 return 0.0
             return numer / denom
         if isinstance(form, Sum):
-            subs = sorted(form.sub)
-            supports = []
-            for v in subs:
-                if v not in self.dist._support:
-                    raise UnknownVariableError(f"not in distribution: {v!r}")
-                supports.append(self.dist._support[v])
-            total = 0.0
-            for combo in itertools.product(*supports):
-                inner = dict(env)
-                inner.update(zip(subs, combo))
-                total += self.run(form.body, inner)
+            total = 0.0  # added in order, not with sum(), which compensates on 3.12+
+            for _, value in self.each(form.body, env, sorted(form.sub)):
+                total += value
             return total
         if isinstance(form, Product):
             out = 1.0
@@ -317,6 +305,19 @@ class _Evaluator:
                 return 0.0
             return self.run(form.numer, env) / denom
         raise EstimationError(f"cannot evaluate {type(form).__name__}")
+
+    def each(self, form: Form, env: Mapping[Variable, Any], names: Sequence[Variable]):
+        """Yield (values, result) for each joint value of `names`, in support
+        order: `form` evaluated in env overlaid by those values."""
+        supports = []
+        for v in names:
+            if v not in self.dist._support:
+                raise UnknownVariableError(f"not in distribution: {v!r}")
+            supports.append(self.dist._support[v])
+        for values in itertools.product(*supports):
+            inner = dict(env)
+            inner.update(zip(names, values))
+            yield values, self.run(form, inner)
 
     def _resolve(self, form: Prob, env: Mapping[Variable, Any]) -> tuple:
         joint = form.p | form.given

@@ -31,6 +31,7 @@ from .model import (
     Data,
     Model,
     Variable,
+    _reach,
     ancestors,
     as_event,
     c_components,
@@ -209,21 +210,6 @@ def _sorted_components(g: Model) -> list[frozenset[Variable]]:
     return sorted(c_components(g), key=lambda c: tuple(sorted(c)))
 
 
-def _ancestors_after_cut(g: Model, roots: frozenset[Variable], cut: frozenset[Variable]):
-    """Ancestors of roots once edges into `cut` are deleted."""
-    seen = set(roots)
-    stack = list(roots)
-    while stack:
-        v = stack.pop()
-        if v in cut:
-            continue
-        for p in g.parents(v):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
-
-
 def _prune_conditioning(
     g: Model, v: Variable, conditioning: frozenset[Variable]
 ) -> frozenset[Variable]:
@@ -274,7 +260,7 @@ def _id(
 
     # 3: grow the intervention with vertices that no longer reach the effect
     #    once the intervention's incoming edges are cut
-    w = (v - x) - _ancestors_after_cut(g, y, x)
+    w = (v - x) - _reach(g._parent_sets, y, x)
     if w:
         return _id(y, x | w, p_form, g)
 

@@ -104,8 +104,7 @@ def read_csv(path: str | os.PathLike) -> list[dict[Variable, Any]]:
 
     Cell text is kept as strings; no numeric coercion is applied.
     """
-    if not isinstance(path, (str, os.PathLike)):
-        raise DataFormatError(f"read-csv needs a file path string, got {type(path).__name__}")
+    _check_path(path, "read-csv")
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -127,12 +126,38 @@ def read_csv(path: str | os.PathLike) -> list[dict[Variable, Any]]:
     return samples
 
 
-def write_csv(path: str, samples: Sequence[Mapping[Any, Any]]) -> None:
-    """Write sample events back out; inverse of read_csv for string cells."""
+def _check_path(path: Any, op: str) -> None:
+    if not isinstance(path, (str, os.PathLike)):
+        raise DataFormatError(f"{op} needs a file path string, got {type(path).__name__}")
+
+
+def write_csv(path: str | os.PathLike, samples: Sequence[Mapping[Any, Any]]) -> None:
+    """Write sample events back out; inverse of read_csv for string cells.
+
+    Every sample must be a map with the first one's variables. All of the
+    input is checked before the file is opened.
+    """
+    _check_path(path, "write_csv")
+    if not isinstance(samples, (list, tuple)):
+        raise DataFormatError(
+            f"write_csv needs a vector of sample events, got {type(samples).__name__}"
+        )
     if not samples:
         raise EvalError("cannot write an empty sample collection")
+    for i, sample in enumerate(samples):
+        if not isinstance(sample, Mapping):
+            raise DataFormatError(f"sample {i} is not a map of variables to values: {sample!r}")
+        if sample.keys() != samples[0].keys():
+            raise DataFormatError(
+                f"sample {i} has variables {sorted(map(str, sample))}, "
+                f"expected {sorted(map(str, samples[0]))}"
+            )
     columns = list(samples[0])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {path!r}: {exc.strerror}") from exc
+    with handle:
         writer = csv.writer(handle)
         writer.writerow([str(c) for c in columns])
         for sample in samples:
@@ -266,23 +291,25 @@ def _eval_define(env: Environment, expr: Apply) -> tuple[Any, Environment]:
     return value, env.with_binding(sym.name, value, doc)
 
 
-def eval_program(text: str, env: Environment | None = None) -> tuple[list, Environment]:
-    """Parse and evaluate a whole program; returns all top-level values.
+def eval_top_level(env: Environment, expr: Expr) -> tuple[Any, Environment]:
+    """eval_expr for a top-level expression: an evaluation error is re-raised
+    with the position of expr."""
+    try:
+        return eval_expr(env, expr)
+    except ParseError:
+        raise
+    except WhittemoreError as exc:
+        line = getattr(expr, "line", 0)
+        if line:
+            raise type(exc)(f"{line}:{getattr(expr, 'col', 0)}: {exc}") from exc
+        raise
 
-    Evaluation errors are re-raised with the position of the top-level
-    expression they occurred in.
-    """
+
+def eval_program(text: str, env: Environment | None = None) -> tuple[list, Environment]:
+    """Parse and evaluate a whole program; returns all top-level values."""
     env = env or standard_environment()
     values = []
     for expr in parse(text):
-        try:
-            value, env = eval_expr(env, expr)
-        except ParseError:
-            raise
-        except WhittemoreError as exc:
-            line = getattr(expr, "line", 0)
-            if line:
-                raise type(exc)(f"{line}:{getattr(expr, 'col', 0)}: {exc}") from exc
-            raise
+        value, env = eval_top_level(env, expr)
         values.append(value)
     return values, env

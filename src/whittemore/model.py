@@ -4,6 +4,10 @@ A model is a DAG over endogenous variables together with a collection of
 confounding sets. A confounding set {a, b, ...} states that the background
 noises of its members are dependent; for graph algorithms it is expanded to
 the pairwise bidirected edges among its members.
+
+Every graph traversal (ancestors, c-components, the ancestors of a
+d-separation conditioning set, descent through hidden vertices in a latent
+projection, and step 3 of identification) goes through the one walk `_reach`.
 """
 from __future__ import annotations
 
@@ -279,17 +283,28 @@ def topological_order(m: Model) -> list[Variable]:
     return list(m._order)
 
 
+def _reach(
+    step: Mapping[Variable, frozenset[Variable]],
+    seeds: Iterable[Variable],
+    stop: frozenset[Variable] = frozenset(),
+) -> set[Variable]:
+    """The seeds and every vertex reached from them along `step`, a map from
+    each vertex to its neighbours. A vertex in `stop` is reached but not
+    walked on from."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        if v not in stop:
+            new = step[v] - seen
+            seen |= new
+            stack.extend(new)
+    return seen
+
+
 def ancestors(m: Model, s: Iterable[Any]) -> frozenset[Variable]:
     """s together with everything that reaches s along directed edges."""
-    seed = _contained(m, s)
-    parent_sets = m._parent_sets
-    seen = set(seed)
-    stack = list(seed)
-    while stack:
-        new = parent_sets[stack.pop()] - seen
-        seen |= new
-        stack.extend(new)
-    return frozenset(seen)
+    return frozenset(_reach(m._parent_sets, _contained(m, s)))
 
 
 def c_components(m: Model) -> frozenset[frozenset[Variable]]:
@@ -298,14 +313,9 @@ def c_components(m: Model) -> frozenset[frozenset[Variable]]:
     out = {frozenset((v,)) for v in m.vertices if v not in siblings}
     unseen = set(siblings)
     while unseen:
-        comp = {unseen.pop()}
-        stack = list(comp)
-        while stack:
-            new = siblings[stack.pop()] - comp
-            comp |= new
-            stack.extend(new)
+        comp = frozenset(_reach(siblings, (unseen.pop(),)))
         unseen -= comp
-        out.add(frozenset(comp))
+        out.add(comp)
     return frozenset(out)
 
 
@@ -346,13 +356,7 @@ def d_separated(
         raise UnknownVariableError("d-separation arguments must be disjoint")
     parents, children, siblings = m._parent_sets, m._children, m._siblings
 
-    # ancestors of the conditioning set, for collider activation
-    anc_z = set(observed)
-    stack = list(observed)
-    while stack:
-        new = parents[stack.pop()] - anc_z
-        anc_z |= new
-        stack.extend(new)
+    anc_z = _reach(parents, observed)  # for collider activation
 
     # Shachter-style reachability over (vertex, arrival direction) states
     frontier = [(s, "up") for s in sources]
@@ -387,53 +391,23 @@ def latent_projection(m: Model, observed: Iterable[Any]) -> Model:
     obs = _contained(m, observed)
     if obs == m.vertices:
         return m
-    hidden = m.vertices - obs
-
-    down_cache: dict[Variable, frozenset[Variable]] = {}
-
-    def observed_below(u: Variable) -> frozenset[Variable]:
-        # Observed vertices reachable from hidden u through hidden vertices.
-        if u in down_cache:
-            return down_cache[u]
-        found: set[Variable] = set()
-        seen = {u}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            for c in m.children(w):
-                if c in obs:
-                    found.add(c)
-                elif c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        result = frozenset(found)
-        down_cache[u] = result
-        return result
+    children = m._children
+    # the observed vertices each vertex reaches through hidden ones: itself
+    # if it is observed
+    below = {v: _reach(children, (v,), obs) & obs for v in m.vertices}
 
     parent_map: dict[Variable, set[Variable]] = {v: set() for v in obs}
     for a in obs:
-        targets: set[Variable] = set()
-        for c in m.children(a):
-            if c in obs:
-                targets.add(c)
-            else:
-                targets |= observed_below(c)
-        for b in targets:
-            parent_map[b].add(a)
+        for c in children[a]:
+            for b in below[c]:
+                parent_map[b].add(a)
 
     pairs: set[frozenset[Variable]] = set()
     for pair in m.bidirected_pairs():
         s, t = tuple(pair)
-        ends_s = frozenset((s,)) if s in obs else observed_below(s)
-        ends_t = frozenset((t,)) if t in obs else observed_below(t)
-        for a in ends_s:
-            for b in ends_t:
-                if a != b:
-                    pairs.add(frozenset((a, b)))
-    for u in hidden:
-        below = sorted(observed_below(u))
-        for a, b in itertools.combinations(below, 2):
-            pairs.add(frozenset((a, b)))
+        pairs.update(frozenset((a, b)) for a in below[s] for b in below[t] if a != b)
+    for u in m.vertices - obs:
+        pairs.update(map(frozenset, itertools.combinations(below[u], 2)))
 
     dag = {v: tuple(sorted(parent_map[v])) for v in sorted(obs)}
     return _build(object.__new__(Model), dag, frozenset(pairs))

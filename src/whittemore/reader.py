@@ -7,7 +7,7 @@ commas count as whitespace, and ; starts a line comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Union
 
 from .errors import ParseError, VariableNameError
@@ -30,6 +30,9 @@ _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 @dataclass(frozen=True)
 class Symbol:
     name: str
+
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
     def __repr__(self):
         return self.name
@@ -173,7 +176,7 @@ def _classify_atom(tok: _Token) -> Expr:
         return float(word)
     if word[0].isdigit() or (word[0] in "+-" and len(word) > 1 and word[1].isdigit()):
         raise ParseError(f"bad number: {word!r}", tok.line, tok.col)
-    return Symbol(word)
+    return Symbol(word, tok.line, tok.col)
 
 
 def _freeze(expr: Expr):

@@ -55,6 +55,37 @@ class TestReadCsv:
         assert read_csv(str(path)) == samples
 
 
+class TestWriteCsv:
+    def test_non_path_rejected(self):
+        # an integer would be taken by open() as a file descriptor
+        with pytest.raises(DataFormatError) as err:
+            write_csv(5, [{"a": "1"}])
+        assert "file path" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            (5, "vector of sample events, got int"),
+            ({"a": 1}, "vector of sample events, got dict"),
+            ([5], "sample 0 is not a map"),
+            ([{"a": 1}, {"b": 2}], "sample 1 has variables ['b'], expected ['a']"),
+            ([{"a": 1}, {"a": 2, "b": 3}], "sample 1 has variables ['a', 'b'], expected ['a']"),
+        ],
+        ids=["int", "map", "non-map-row", "other-keys", "extra-key"],
+    )
+    def test_bad_samples_rejected_before_writing(self, tmp_path, samples, message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataFormatError) as err:
+            write_csv(str(path), samples)
+        assert message in str(err.value)
+        assert not path.exists()
+
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(DataFormatError) as err:
+            write_csv(str(tmp_path / "missing" / "out.csv"), [{"a": "1"}])
+        assert "cannot write" in str(err.value)
+
+
 class TestHead:
     def test_first_n(self):
         samples = read_csv(str(KIDNEY_CSV))
@@ -200,6 +231,13 @@ class TestMain:
         assert code == 1
         assert "mystery" in err
 
+    def test_unbound_symbol_error_has_its_position(self, capsys, tmp_path):
+        path = tmp_path / "bad.wt"
+        path.write_text("(define a 1)\n  foo\n")
+        code, out, err = run_main(capsys, "run", str(path))
+        assert code == 1
+        assert f"{path}: 2:3: unbound symbol: foo" in err
+
     def test_deep_unclosed_nesting_exits_1(self, capsys, tmp_path):
         path = tmp_path / "deep.wt"
         path.write_text("[" * 600 + "\n")
@@ -256,7 +294,7 @@ class TestMain:
 
 
 class TestRepl:
-    def feed(self, monkeypatch, capsys, lines):
+    def feed(self, monkeypatch, capsys, lines, stream="out"):
         from whittemore import cli
 
         script = iter(lines)
@@ -269,7 +307,7 @@ class TestRepl:
 
         monkeypatch.setattr("builtins.input", fake_input)
         code = cli.repl()
-        return code, capsys.readouterr().out
+        return code, getattr(capsys.readouterr(), stream)
 
     def test_transcript_matches_script_mode(self, monkeypatch, capsys, tmp_path):
         text = [
@@ -301,6 +339,10 @@ class TestRepl:
             ['(define fd "front door docs" (model {:x []}))', "doc fd"],
         )
         assert "front door docs" in out
+
+    def test_error_has_its_position(self, monkeypatch, capsys):
+        code, err = self.feed(monkeypatch, capsys, ["(define a 1)", "  (head a 1)"], "err")
+        assert "1:3: head needs a vector of samples, got int" in err
 
     def test_error_recovers(self, monkeypatch, capsys):
         code, out = self.feed(monkeypatch, capsys, ["nope", "(define x 7)", "x"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -28,6 +29,7 @@ from whittemore.errors import (
     UnknownVariableError,
     WhittemoreError,
 )
+from whittemore.oracle import exact_joint, random_scm
 
 EXAMPLE_SAMPLES = [
     {"x": 0, "y": 0},
@@ -287,6 +289,36 @@ class TestEstimate:
         with pytest.raises(EstimationError) as err:
             estimate(smoking, formula)
         assert "bindings" in str(err.value)
+
+
+def _open_effect_queries(names):
+    """Queries with open effect variables: single and joint effects,
+    plain and conditional, each under do(x = 0)."""
+    for x, y in itertools.permutations(names, 2):
+        rest = [v for v in names if v not in (x, y)]
+        yield make_query([y], do={x: 0})
+        for z in rest:
+            yield make_query([y, z], do={x: 0})
+            yield make_query([y], do={x: 0}, given={z: 1})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_estimated_cells_are_the_evaluated_values(seed):
+    # estimate and evaluate share one evaluator, so the agreement is exact
+    scm = random_scm(seed)
+    joint = exact_joint(scm)
+    compared = 0
+    for query in _open_effect_queries(sorted(scm.model.vertices)):
+        formula = identify(scm.model, query)
+        if isinstance(formula, Fail):
+            continue
+        effect = sorted(query.effect)
+        estimated = estimate(joint, formula)
+        for values in itertools.product((0, 1), repeat=len(effect)):
+            event = dict(zip(effect, values))
+            assert estimated.measure(event) == evaluate(joint, formula, event), (query, event)
+            compared += 1
+    assert compared > 0
 
 
 class TestInfer:

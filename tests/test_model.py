@@ -365,6 +365,106 @@ def shuffled_models(draw):
     return make_model(dag, groups)
 
 
+# reference implementations by brute-force path enumeration, written from the
+# docstrings of ancestors, c_components and latent_projection
+
+
+def _edges(m):
+    """Every edge of m as (u, v, arrowhead at u, arrowhead at v), both ways."""
+    out = []
+    for v in m.vertices:
+        for p in m.parents(v):
+            out += [(p, v, False, True), (v, p, True, False)]
+    for s, t in (tuple(pair) for pair in m.bidirected_pairs()):
+        out += [(s, t, True, True), (t, s, True, True)]
+    return out
+
+
+def _simple_paths(m, start):
+    """Every simple path from start, as (vertices, edges)."""
+    edges = _edges(m)
+    paths = []
+
+    def extend(vertices, used):
+        paths.append((vertices, used))
+        for e in edges:
+            if e[0] == vertices[-1] and e[1] not in vertices:
+                extend(vertices + [e[1]], used + [e])
+
+    extend([start], [])
+    return paths
+
+
+def brute_ancestors(m, s):
+    out = set(s)
+    for v in m.vertices:
+        for vertices, used in _simple_paths(m, v):
+            if vertices[-1] in s and all(not e[2] and e[3] for e in used):
+                out.add(v)
+    return frozenset(out)
+
+
+def brute_c_components(m):
+    out = set()
+    for v in m.vertices:
+        reached = {
+            vertices[-1]
+            for vertices, used in _simple_paths(m, v)
+            if all(e[2] and e[3] for e in used)
+        }
+        out.add(frozenset(reached))
+    return frozenset(out)
+
+
+def brute_projection(m, obs):
+    """(parent sets, bidirected pairs) of the projection onto obs."""
+    hidden = m.vertices - obs
+    parents = {v: set() for v in obs}
+    pairs = set()
+    for a in obs:
+        for vertices, used in _simple_paths(m, a):
+            b = vertices[-1]
+            if b not in obs or b == a or not set(vertices[1:-1]) <= hidden:
+                continue
+            if all(not e[2] and e[3] for e in used):
+                parents[b].add(a)
+            colliders = any(used[i][3] and used[i + 1][2] for i in range(len(used) - 1))
+            if used[0][2] and used[-1][3] and not colliders:
+                pairs.add(frozenset((a, b)))
+    return parents, pairs
+
+
+@given(models(), st.sets(st.sampled_from(_names)))
+def test_ancestors_match_directed_paths(m, seed):
+    seed = {v for v in seed if v in m.vertices}
+    assert ancestors(m, seed) == brute_ancestors(m, seed)
+
+
+@given(shuffled_models())
+def test_c_components_match_bidirected_paths(m):
+    assert c_components(m) == brute_c_components(m)
+
+
+@given(shuffled_models(), st.sets(st.sampled_from(["a", "b", "c", "d", "e", "f"]), min_size=1))
+def test_latent_projection_matches_paths_through_hidden_vertices(m, observed):
+    obs = frozenset(v for v in observed if v in m.vertices) or m.vertices
+    proj = latent_projection(m, obs)
+    parents, pairs = brute_projection(m, obs)
+    assert {v: proj.parents(v) for v in proj.vertices} == parents
+    assert proj.bidirected_pairs() == pairs
+
+
+def test_projection_reaches_observed_vertices_only_through_hidden_ones():
+    # u's observed descendants b and c lie below the hidden u1 and u2
+    m = make_model({"a": [], "u": ["a"], "u1": ["u"], "u2": ["u1"], "b": ["u2"], "c": ["u1"]})
+    assert latent_projection(m, ["a", "b", "c"]) == make_model(
+        {"a": [], "b": ["a"], "c": ["a"]}, [{"b", "c"}]
+    )
+    # the same descent from a hidden end of a bidirected edge
+    m = make_model({"a": [], "u": [], "u1": ["u"], "b": ["u1"]}, [{"a", "u"}])
+    assert latent_projection(m, ["a", "b"]) == make_model({"a": [], "b": []}, [{"a", "b"}])
+
+
 def assert_same_model(derived, fresh):
     assert derived == fresh
     assert repr(derived) == repr(fresh)
