@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
@@ -64,7 +65,10 @@ class CategoricalDistribution:
 
     @classmethod
     def from_samples(cls, samples: Iterable[Mapping[Any, Any]]) -> "CategoricalDistribution":
-        """Build from sample events, each counting once."""
+        """Build from sample events, each counting once. The rows of a
+        SampleTable are counted as they are, with no event built per row."""
+        if isinstance(samples, SampleTable):
+            return cls._from_cells(samples.header, Counter(samples.rows), None)
         return cls._from_pairs(zip(samples, itertools.repeat(1)))
 
     @classmethod
@@ -88,10 +92,8 @@ class CategoricalDistribution:
         """Count (event, weight) pairs into cells in one pass.
 
         The first event fixes the variables, and every later event is read
-        by those names. A repeated event adds to its cell, and each support
-        lists values in first-seen order. With a tolerance the weights are
-        probabilities whose mass must be 1, and the normalizer is 1.0;
-        otherwise it is the total weight.
+        by those names. A repeated event adds to its cell. The cells are
+        then finished by `_from_cells`.
         """
         names = None
         cells: dict[tuple, Any] = {}
@@ -109,7 +111,22 @@ class CategoricalDistribution:
                 cells[key] = cells.get(key, 0) + weight
             except (TypeError, KeyError):
                 raise DataFormatError(f"event {i} {_event_fault(event, names)}") from None
-        if names is None:
+        return cls._from_cells(names, cells, tolerance)
+
+    @classmethod
+    def _from_cells(
+        cls, columns: Sequence[Variable], cells: Mapping[tuple, Any], tolerance: float | None
+    ) -> "CategoricalDistribution":
+        """Finish a distribution from weights keyed by value tuples aligned
+        with `columns`, in first-seen order.
+
+        The variables are sorted and each key permuted to match, and each
+        support lists values in first-seen order, so the cost grows with the
+        cells, not with the events counted. With a tolerance the weights are
+        probabilities whose mass must be 1, and the normalizer is 1.0;
+        otherwise it is the total weight.
+        """
+        if not cells:
             raise DataFormatError("no events to build a distribution from")
         total = sum(cells.values())
         if not total > 0:
@@ -121,6 +138,10 @@ class CategoricalDistribution:
                     f"weights sum to {mass!r}, not 1 (tolerance {tolerance:g})"
                 )
             total = 1.0
+        names = tuple(sorted(columns))
+        if names != tuple(columns):
+            order = [columns.index(v) for v in names]
+            cells = {tuple([key[i] for i in order]): w for key, w in cells.items()}
         support = {
             v: tuple(dict.fromkeys(key[j] for key in cells)) for j, v in enumerate(names)
         }
@@ -227,6 +248,47 @@ class CategoricalDistribution:
     def __repr__(self) -> str:
         vs = " ".join(repr(v) for v in self._variables)
         return f"<categorical over [{vs}], {len(self._cells)} outcomes>"
+
+
+class SampleTable(Sequence):
+    """Sample events read from a table: a header of variables and rows of cells.
+
+    An immutable sequence of events: indexing and iteration give a fresh
+    `{Variable: cell}` map per row, a slice is a table, and a table equals a
+    list or tuple of maps that holds the same events in the same order.
+    Each row is a tuple with one cell per header variable, so `categorical`
+    counts the rows as they are.
+    """
+
+    __slots__ = ("header", "rows")
+
+    def __init__(self, header: Sequence[Variable], rows: Sequence[tuple]):
+        object.__setattr__(self, "header", tuple(header))
+        object.__setattr__(self, "rows", tuple(rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SampleTable is immutable")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampleTable(self.header, self.rows[index])
+        return dict(zip(self.header, self.rows[index]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SampleTable) and other.header == self.header:
+            return self.rows == other.rows
+        if not isinstance(other, (SampleTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        vs = " ".join(repr(v) for v in self.header)
+        return f"<sample table over [{vs}], {len(self.rows)} rows>"
 
 
 def categorical(samples: Iterable[Mapping[Any, Any]]) -> CategoricalDistribution:

@@ -20,6 +20,7 @@ from typing import Any
 
 from .distribution import (
     CategoricalDistribution,
+    SampleTable,
     categorical,
     estimate,
     infer,
@@ -99,10 +100,12 @@ def _op_q(effect, *rest) -> Query:
     return make_query(effect, parts.get("do"), parts.get("given"))
 
 
-def read_csv(path: str | os.PathLike) -> list[dict[Variable, Any]]:
-    """Load a CSV file (header row required) as a vector of sample events.
+def read_csv(path: str | os.PathLike) -> SampleTable:
+    """Load a CSV file (header row required) as a table of sample events.
 
-    Cell text is kept as strings; no numeric coercion is applied.
+    Cell text is kept as strings; no numeric coercion is applied. The table
+    is an immutable sequence of `{Variable: cell}` maps; call `list` on it
+    for a vector that can be changed.
     """
     _check_path(path, "read-csv")
     try:
@@ -110,20 +113,25 @@ def read_csv(path: str | os.PathLike) -> list[dict[Variable, Any]]:
     except OSError as exc:
         raise DataFormatError(f"cannot read {path!r}: {exc.strerror}") from exc
     with handle:
-        rows = list(csv.reader(handle))
-    if not rows or not any(cell.strip() for cell in rows[0]):
-        raise DataFormatError(f"{path}:1: missing header row")
-    header = [Variable(name) for name in rows[0]]
-    if len(set(header)) != len(header):
-        raise DataFormatError(f"{path}:1: duplicate column name")
-    samples = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        samples.append({v: cell for v, cell in zip(header, row)})
-    return samples
+        reader = csv.reader(handle)
+        first = next(reader, [])
+        if not any(cell.strip() for cell in first):
+            raise DataFormatError(f"{path}:1: missing header row")
+        header = tuple([Variable(name) for name in first])
+        if len(set(header)) != len(header):
+            raise DataFormatError(f"{path}:1: duplicate column name")
+        line = reader.line_num + 1
+        rows = tuple(map(tuple, reader))
+    if rows and set(map(len, rows)) != {len(header)}:
+        # find the short or long row, and the line it starts on: one line,
+        # plus one for each line break inside its quoted cells
+        for row in rows:
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
+                )
+            line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+    return SampleTable(header, rows)
 
 
 def _check_path(path: Any, op: str) -> None:
@@ -134,25 +142,32 @@ def _check_path(path: Any, op: str) -> None:
 def write_csv(path: str | os.PathLike, samples: Sequence[Mapping[Any, Any]]) -> None:
     """Write sample events back out; inverse of read_csv for string cells.
 
-    Every sample must be a map with the first one's variables. All of the
-    input is checked before the file is opened.
+    A table is written as its header and rows. Otherwise every sample must
+    be a map with the first one's variables. All of the input is checked
+    before the file is opened.
     """
     _check_path(path, "write_csv")
-    if not isinstance(samples, (list, tuple)):
-        raise DataFormatError(
-            f"write_csv needs a vector of sample events, got {type(samples).__name__}"
-        )
-    if not samples:
-        raise EvalError("cannot write an empty sample collection")
-    for i, sample in enumerate(samples):
-        if not isinstance(sample, Mapping):
-            raise DataFormatError(f"sample {i} is not a map of variables to values: {sample!r}")
-        if sample.keys() != samples[0].keys():
+    if isinstance(samples, SampleTable):
+        columns, rows = samples.header, samples.rows
+    else:
+        if not isinstance(samples, (list, tuple)):
             raise DataFormatError(
-                f"sample {i} has variables {sorted(map(str, sample))}, "
-                f"expected {sorted(map(str, samples[0]))}"
+                f"write_csv needs a vector of sample events, got {type(samples).__name__}"
             )
-    columns = list(samples[0])
+        if not samples:
+            raise EvalError("cannot write an empty sample collection")
+        for i, sample in enumerate(samples):
+            if not isinstance(sample, Mapping):
+                raise DataFormatError(
+                    f"sample {i} is not a map of variables to values: {sample!r}"
+                )
+            if sample.keys() != samples[0].keys():
+                raise DataFormatError(
+                    f"sample {i} has variables {sorted(map(str, sample))}, "
+                    f"expected {sorted(map(str, samples[0]))}"
+                )
+        columns = list(samples[0])
+        rows = ([sample[c] for c in columns] for sample in samples)
     try:
         handle = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -160,19 +175,19 @@ def write_csv(path: str | os.PathLike, samples: Sequence[Mapping[Any, Any]]) -> 
     with handle:
         writer = csv.writer(handle)
         writer.writerow([str(c) for c in columns])
-        for sample in samples:
-            writer.writerow([sample[c] for c in columns])
+        writer.writerows(rows)
 
 
-def head(samples: Sequence, n: int) -> list:
-    """The first n samples."""
-    if not isinstance(samples, (list, tuple)):
+def head(samples: Sequence, n: int) -> Sequence:
+    """The first n samples: a table of a table, otherwise a list."""
+    if not isinstance(samples, (list, tuple, SampleTable)):
         raise EvalError(f"head needs a vector of samples, got {type(samples).__name__}")
     if not isinstance(n, int) or isinstance(n, bool):
         raise EvalError(f"head count must be an integer, got {n!r}")
     if n < 0:
         raise EvalError(f"head count must be nonnegative, got {n}")
-    return list(samples[:n])
+    first = samples[:n]
+    return first if isinstance(first, SampleTable) else list(first)
 
 
 _BAR_WIDTH = 40

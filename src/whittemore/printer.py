@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from .distribution import CategoricalDistribution
+from .distribution import CategoricalDistribution, SampleTable
 from .formula import Fail, Formula
 from .identify import Query
 from .model import Data, Model, Variable
@@ -37,7 +37,7 @@ def print_value(value: Any) -> str:
         return _escape(value)
     if isinstance(value, (int, float)):
         return repr(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, SampleTable)):
         return "[" + " ".join(print_value(x) for x in value) + "]"
     if isinstance(value, (set, frozenset)):
         items = sorted(print_value(x) for x in value)
@@ -87,24 +87,30 @@ def _print_query(q: Query) -> str:
     return " ".join(parts) + ")"
 
 
-def _is_sample_collection(value: Any) -> bool:
+def _sample_rows(value: Any) -> tuple[Sequence, list] | None:
+    """The columns and rows of a non-empty collection of sample events over
+    one set of variables, or None for any other value."""
+    if isinstance(value, SampleTable):
+        return (value.header, value.rows) if value.rows else None
     if not isinstance(value, (list, tuple)) or not value:
-        return False
+        return None
     if not all(isinstance(x, Mapping) and x for x in value):
-        return False
+        return None
     keys = set(value[0])
-    return all(set(x) == keys for x in value)
+    if not all(set(x) == keys for x in value):
+        return None
+    columns = list(value[0])
+    return columns, [[s[c] for c in columns] for s in value]
 
 
-def _sample_table(samples: Sequence[Mapping[Variable, Any]]) -> str:
-    columns = list(samples[0])
+def _sample_table(columns: Sequence[Any], rows: Sequence[Sequence[Any]]) -> str:
     headers = [str(c) for c in columns]
-    rows = [[_cell(s[c]) for c in columns] for s in samples]
+    cells = [[_cell(v) for v in row] for row in rows]
     widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(columns))
+        max(len(headers[i]), *(len(r[i]) for r in cells)) for i in range(len(columns))
     ]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for r in rows:
+    for r in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return "\n".join(lines)
 
@@ -127,6 +133,7 @@ def display_value(value: Any) -> str:
     if isinstance(value, CategoricalDistribution):
         vs = " ".join(print_value(v) for v in value.variables)
         return f"#categorical[{vs}]"
-    if _is_sample_collection(value):
-        return _sample_table(value)
+    table = _sample_rows(value)
+    if table is not None:
+        return _sample_table(*table)
     return print_value(value)

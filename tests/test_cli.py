@@ -39,6 +39,42 @@ class TestReadCsv:
             read_csv(str(path))
         assert ":2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('a,b\n"x\ny",1\n3\n', 4),
+            ('a,b\r\n"x\r\ny",1\r\n1,2\r\n3\r\n', 5),
+            ('a,b\r"x\ry",1\r3\r', 4),
+            ('a,b\n"1\n\n2",3\n\n', 5),
+            ('a,b\n1,2\n1,2,3\n', 3),
+        ],
+        ids=["lf", "crlf", "cr", "blank-line", "long-row"],
+    )
+    def test_ragged_row_reports_the_line_it_starts_on(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataFormatError) as err:
+            read_csv(str(path))
+        assert f"bad.csv:{line}: expected 2 fields" in str(err.value)
+
+    def test_table_is_an_immutable_sequence_of_events(self, tmp_path):
+        path = tmp_path / "xy.csv"
+        path.write_text("y,x\n0,a\n1,b\n")
+        samples = read_csv(str(path))
+        assert samples == [{"y": "0", "x": "a"}, {"y": "1", "x": "b"}]
+        assert samples == ({"y": "0", "x": "a"}, {"y": "1", "x": "b"})
+        assert [{"y": "0", "x": "a"}, {"y": "1", "x": "b"}] == samples
+        assert samples != [{"y": "0", "x": "a"}]
+        assert samples[1:] == [{"y": "1", "x": "b"}] and samples[-1] == {"y": "1", "x": "b"}
+        assert list(samples)[0] is not samples[0]
+        samples[0]["x"] = "changed"  # each event is a fresh map
+        assert samples[0]["x"] == "a"
+        with pytest.raises(AttributeError):
+            samples.rows = ()
+        with pytest.raises(TypeError):
+            samples[0] = {}
+        assert not hasattr(samples, "append")
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("")
@@ -56,6 +92,19 @@ class TestReadCsv:
 
 
 class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "text",
+        ['b,a\n"x,1","line\nbreak"\n"say ""hi""",plain\n"x,1","line\nbreak"\n', "b,a\n"],
+        ids=["rows", "header-only"],
+    )
+    def test_table_round_trip(self, tmp_path, text):
+        source = tmp_path / "in.csv"
+        source.write_text(text)
+        out = tmp_path / "out.csv"
+        write_csv(str(out), read_csv(str(source)))
+        assert read_csv(str(out)) == read_csv(str(source))
+        assert out.read_text() == text
+
     def test_non_path_rejected(self):
         # an integer would be taken by open() as a file descriptor
         with pytest.raises(DataFormatError) as err:
@@ -90,6 +139,22 @@ class TestHead:
     def test_first_n(self):
         samples = read_csv(str(KIDNEY_CSV))
         assert head(samples, 5) == samples[:5]
+
+    def test_table_gives_a_table_and_list_a_list(self):
+        samples = read_csv(str(KIDNEY_CSV))
+        first = head(samples, 3)
+        assert type(first) is type(samples) and first == list(samples)[:3]
+        assert type(head(list(samples), 3)) is list
+        assert type(head(tuple(samples), 3)) is list
+
+    def test_non_vector_error_text(self, capsys, tmp_path):
+        with pytest.raises(EvalError) as err:
+            head(5, 1)
+        assert str(err.value) == "head needs a vector of samples, got int"
+        path = tmp_path / "head.wt"
+        path.write_text("(define a 5)\n(head a 1)\n")
+        code, out, err = run_main(capsys, "run", str(path))
+        assert (code, err) == (1, f"{path}: 2:1: head needs a vector of samples, got int\n")
 
     def test_zero(self):
         assert head([{"x": 1}], 0) == []

@@ -1,5 +1,8 @@
+import csv
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,7 +22,9 @@ from whittemore import (
     make_model,
     make_query,
     measure,
+    print_value,
     prob,
+    read_csv,
     signature,
     sum_over,
 )
@@ -30,6 +35,7 @@ from whittemore.errors import (
     WhittemoreError,
 )
 from whittemore.oracle import exact_joint, random_scm
+from whittemore.printer import display_value
 
 EXAMPLE_SAMPLES = [
     {"x": 0, "y": 0},
@@ -383,3 +389,74 @@ class TestProtocolExtensibility:
         with pytest.raises(EstimationError) as err:
             estimate(smoking, bad)
         assert "mass" in str(err.value)
+
+
+_CELLS = st.text(alphabet='ab,"\n\r ', max_size=3)
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text with 1-6 columns in any order, repeated rows, and cells
+    holding commas, quotes and line breaks, plus its header and rows."""
+    header = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6, unique=True))
+    pool = draw(st.lists(st.tuples(*[_CELLS] * len(header)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=20))
+    terminator = draw(st.sampled_from(["\r\n", "\n"]))
+    return header, rows, terminator
+
+
+def _write(directory, header, rows, terminator) -> str:
+    path = Path(directory) / "samples.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        # the writer quotes only the line break characters of its terminator
+        quoting = csv.QUOTE_MINIMAL if terminator == "\r\n" else csv.QUOTE_ALL
+        writer = csv.writer(handle, lineterminator=terminator, quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+class TestSampleTable:
+    """A table from read_csv against the list of its events: the table is
+    counted and printed straight from its rows, the list event by event."""
+
+    @given(_csv_files())
+    def test_table_matches_its_events(self, csv_file):
+        with tempfile.TemporaryDirectory() as directory:
+            table = read_csv(_write(directory, *csv_file))
+        events = [dict(e) for e in table]
+        assert events == [dict(zip(csv_file[0], row)) for row in csv_file[1]]
+        assert display_value(table) == display_value(events)
+        assert print_value(table) == print_value(events)
+        if not events:
+            with pytest.raises(DataFormatError, match="no events"):
+                categorical(table)
+            return
+        got = categorical(table)
+        want = CategoricalDistribution.from_samples(events)
+        assert got.variables == want.variables
+        assert list(got._cells.items()) == list(want._cells.items())
+        assert list(got.support.items()) == list(want.support.items())
+        assert (type(got._total), got._total) == (type(want._total), want._total)
+        for v, values in want.support.items():
+            for value in values:
+                assert got.measure({v: value}) == want.measure({v: value})
+
+    @given(_csv_files(), st.integers(min_value=0), st.data())
+    def test_ragged_row_is_reported_at_its_first_line(self, csv_file, at, data):
+        header, rows, terminator = csv_file
+        width = data.draw(st.integers(0, len(header) + 1).filter(lambda n: n != len(header)))
+        rows = list(rows)
+        rows.insert(at % (len(rows) + 1), ("x",) * width)
+        with tempfile.TemporaryDirectory() as directory:
+            path = _write(directory, header, rows, terminator)
+            with open(path, newline="", encoding="utf-8") as handle:
+                reader = csv.reader(handle)
+                start = 1
+                for row in reader:
+                    if len(row) != len(header):
+                        break
+                    start = reader.line_num + 1
+            with pytest.raises(DataFormatError) as err:
+                read_csv(path)
+        assert f"samples.csv:{start}: expected {len(header)} fields, got {width}" in str(err.value)
