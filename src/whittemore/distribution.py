@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 from .errors import DataFormatError, EstimationError, UnknownVariableError
@@ -21,13 +22,6 @@ from .model import Data, Model, Variable, as_event
 Event = Mapping[Variable, Any]
 
 _NORMALIZATION_TOL = 1e-9
-
-
-def _mass(table: Mapping[tuple, float], values: tuple) -> float:
-    try:
-        return table.get(values, 0.0)
-    except TypeError:  # an unhashable value, which no cell can hold
-        return 0.0
 
 
 def _event_fault(event: Any, names: tuple[Variable, ...] | None) -> str:
@@ -162,7 +156,10 @@ class CategoricalDistribution:
         """Probability of the event; unmentioned variables are marginalized."""
         ev = as_event(event)
         names, table = self._marginal(ev)
-        return _mass(table, tuple([ev[v] for v in names]))
+        try:
+            return table.get(tuple([ev[v] for v in names]), 0.0)
+        except TypeError:  # an unhashable value, which no cell can hold
+            return 0.0
 
     def _marginal(self, variables) -> tuple[tuple[Variable, ...], dict[tuple, float]]:
         """The variables in distribution order, and their marginal table.
@@ -208,7 +205,11 @@ class CategoricalDistribution:
         open_vars = tuple(sorted(effect - set(target.bindings)))
         if not open_vars:
             return evaluate(self, target)
-        cells = dict(_Evaluator(self).each(target.form, target.bindings, open_vars))
+        evaluator = _Evaluator(self)
+        run, env, cells = evaluator.compile(target.form), dict(target.bindings), {}
+        for values in evaluator.assignments(open_vars):
+            env.update(zip(open_vars, values))
+            cells[values] = run(env)
         mass = math.fsum(cells.values())
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
             raise EstimationError(
@@ -323,80 +324,125 @@ def estimate(distribution, target):
 
 
 class _Evaluator:
-    """Recursive form evaluation against one categorical distribution.
+    """Formula evaluation against one categorical distribution, by compilation.
 
-    Each P(·) term is resolved on its first visit to its variables and
-    marginal tables, so a summed assignment costs tuple builds and lookups.
-    `each` enumerates the joint values of a set of variables, both for a Sum
-    and for the cells of an estimated distribution.
+    `compile` turns each form node into a closure from an environment to a
+    float. Equal P(·) terms share one closure, which resolves its marginal
+    tables on its first call, so a summed assignment costs key builds and
+    dict lookups. `assignments` enumerates the joint values of a set of
+    variables, both for a Sum and for the cells of an estimated distribution.
     """
 
     def __init__(self, dist: CategoricalDistribution):
         self.dist = dist
         self.zero_conditionals = 0  # diagnostic: 0/0 conditionals hit
-        self._terms: dict[Prob, tuple] = {}
+        self._probs: dict[Prob, Callable] = {}
 
     def run(self, form: Form, env: Mapping[Variable, Any]) -> float:
+        return self.compile(form)(env)
+
+    def compile(self, form: Form) -> Callable[[Mapping[Variable, Any]], float]:
+        """A function from an environment to the value of `form`."""
+        run = self._compile(form)
+
+        def run_form(env):
+            try:
+                return run(env)
+            except KeyError as exc:  # a shared term reached where its variable is unbound
+                raise _unbound(exc.args[0]) from None
+        return run_form
+
+    def _compile(self, form: Form):
         if isinstance(form, Prob):
-            term = self._terms.get(form)
-            if term is None:
-                term = self._terms[form] = self._resolve(form, env)
-            names, joint, given_names, given = term
-            numer = _mass(joint, self._values(env, names))
-            if given is None:
-                return numer
-            denom = _mass(given, self._values(env, given_names))
-            if denom == 0.0:
-                self.zero_conditionals += 1
-                return 0.0
-            return numer / denom
+            run = self._probs.get(form)
+            if run is None:
+                run = self._probs[form] = self._prob(form)
+            return run
         if isinstance(form, Sum):
-            total = 0.0  # added in order, not with sum(), which compensates on 3.12+
-            for _, value in self.each(form.body, env, sorted(form.sub)):
-                total += value
-            return total
+            body, names = self._compile(form.body), sorted(form.sub)
+
+            def run_sum(env):
+                inner = dict(env)
+                total = 0.0  # added in order, not with sum(), which compensates on 3.12+
+                for values in self.assignments(names):
+                    inner.update(zip(names, values))
+                    total += body(inner)
+                return total
+            return run_sum
         if isinstance(form, Product):
-            out = 1.0
-            for factor in form.factors:
-                out *= self.run(factor, env)
-            return out
+            factors = [self._compile(factor) for factor in form.factors]
+
+            def run_product(env):
+                out = 1.0
+                for factor in factors:
+                    out *= factor(env)
+                return out
+            return run_product
         if isinstance(form, Fraction):
-            denom = self.run(form.denom, env)
-            if denom == 0.0:
-                self.zero_conditionals += 1
-                return 0.0
-            return self.run(form.numer, env) / denom
+            numer, denom = self._compile(form.numer), self._compile(form.denom)
+
+            def run_fraction(env):
+                d = denom(env)
+                if d == 0.0:
+                    self.zero_conditionals += 1
+                    return 0.0
+                return numer(env) / d
+            return run_fraction
         raise EstimationError(f"cannot evaluate {type(form).__name__}")
 
-    def each(self, form: Form, env: Mapping[Variable, Any], names: Sequence[Variable]):
-        """Yield (values, result) for each joint value of `names`, in support
-        order: `form` evaluated in env overlaid by those values."""
-        supports = []
+    def _prob(self, form: Prob):
+        term = None
+
+        def run_prob(env):
+            nonlocal term
+            if term is None:
+                term = self._resolve(form, env)
+            key, table, given_key, given = term
+            if given is not None:
+                try:
+                    denom = given.get(given_key(env), 0.0)
+                except TypeError:  # an unhashable value, which no cell can hold
+                    denom = 0.0
+                if denom == 0.0:
+                    self.zero_conditionals += 1
+                    return 0.0
+            try:
+                numer = table.get(key(env), 0.0)
+            except TypeError:
+                return 0.0
+            return numer if given is None else numer / denom
+        return run_prob
+
+    def _resolve(self, form: Prob, env: Mapping[Variable, Any]) -> tuple:
+        """The key getter and marginal table of P(p, given), then those of
+        P(given) or None. An unbound variable is reported before an unknown one."""
+        joint = form.p | form.given
+        unbound = sorted(joint - env.keys())
+        if unbound:
+            raise _unbound(unbound[0])
+        names, table = self.dist._marginal(joint)
+        if not form.given:
+            return _getter(names), table, None, None
+        given_names, given = self.dist._marginal(form.given)
+        return _getter(names), table, _getter(given_names), given
+
+    def assignments(self, names: Sequence[Variable]):
+        """Every joint value of `names`, in support order."""
         for v in names:
             if v not in self.dist._support:
                 raise UnknownVariableError(f"not in distribution: {v!r}")
-            supports.append(self.dist._support[v])
-        for values in itertools.product(*supports):
-            inner = dict(env)
-            inner.update(zip(names, values))
-            yield values, self.run(form, inner)
+        return itertools.product(*[self.dist._support[v] for v in names])
 
-    def _resolve(self, form: Prob, env: Mapping[Variable, Any]) -> tuple:
-        joint = form.p | form.given
-        self._values(env, joint)  # an unbound variable is reported before an unknown one
-        names, table = self.dist._marginal(joint)
-        if not form.given:
-            return names, table, (), None
-        return (names, table) + self.dist._marginal(form.given)
 
-    @staticmethod
-    def _values(env: Mapping[Variable, Any], names) -> tuple:
-        try:
-            return tuple([env[v] for v in names])
-        except KeyError as exc:
-            raise EstimationError(
-                f"unbound variable {exc.args[0]!r} during formula evaluation"
-            ) from None
+def _getter(names: tuple[Variable, ...]):
+    """A function from an environment to the tuple of its `names` values."""
+    if len(names) == 1:
+        return lambda env, v=names[0]: (env[v],)
+    return operator.itemgetter(*names) if names else lambda env: ()
+
+
+def _unbound(v: Variable) -> EstimationError:
+    return EstimationError(f"unbound variable {v!r} during formula evaluation")
 
 
 def evaluate(

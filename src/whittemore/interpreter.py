@@ -114,14 +114,19 @@ def read_csv(path: str | os.PathLike) -> SampleTable:
         raise DataFormatError(f"cannot read {path!r}: {exc.strerror}") from exc
     with handle:
         reader = csv.reader(handle)
-        first = next(reader, [])
-        if not any(cell.strip() for cell in first):
-            raise DataFormatError(f"{path}:1: missing header row")
-        header = tuple([Variable(name) for name in first])
-        if len(set(header)) != len(header):
-            raise DataFormatError(f"{path}:1: duplicate column name")
-        line = reader.line_num + 1
-        rows = tuple(map(tuple, reader))
+        try:
+            first = next(reader, [])
+            if not any(cell.strip() for cell in first):
+                raise DataFormatError(f"{path}:1: missing header row")
+            header = tuple([Variable(name) for name in first])
+            if len(set(header)) != len(header):
+                raise DataFormatError(f"{path}:1: duplicate column name")
+            line = reader.line_num + 1
+            rows = tuple(map(tuple, reader))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if rows and set(map(len, rows)) != {len(header)}:
         # find the short or long row, and the line it starts on: one line,
         # plus one for each line break inside its quoted cells

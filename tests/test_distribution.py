@@ -28,12 +28,15 @@ from whittemore import (
     signature,
     sum_over,
 )
+from whittemore.distribution import _Evaluator
 from whittemore.errors import (
     DataFormatError,
     EstimationError,
     UnknownVariableError,
     WhittemoreError,
 )
+from whittemore.formula import Fraction, Prob, Product, Sum
+from whittemore.model import Variable
 from whittemore.oracle import exact_joint, random_scm
 from whittemore.printer import display_value
 
@@ -325,6 +328,176 @@ def test_estimated_cells_are_the_evaluated_values(seed):
             assert estimated.measure(event) == evaluate(joint, formula, event), (query, event)
             compared += 1
     assert compared > 0
+
+
+# random SCM joints (seed, confounding probability), Markovian and semi-Markovian
+_PIN_JOINTS = ((0, 0.0), (9, 0.0), (0, 0.5), (5, 0.5), (7, 0.5))
+_PIN_FRONT_DOOR = make_model({"a": [], "b": ["a"], "c": ["b"]}, [{"a", "c"}])
+# float.hex() of each answer below, None for a Fail; an open-effect answer
+# gives the hex of P(y=0) and then of P(y=1)
+_PINNED_HEX = [
+    '0x1.0aabbb0192387p-2', '0x1.0aabbb0192388p-2', '0x1.7aaa227f36e3bp-1',
+    '0x1.0aabbb0192388p-2', '0x1.7aaa227f36e3bp-1', '0x1.0aabbb0192389p-2',
+    '0x1.f99459ae05d1cp-2', '0x1.0335d328fd171p-1', '0x1.c5cb033fd6eb6p-2',
+    '0x1.1d1a7e60148a5p-1', '0x1.c5cb033fd6eb6p-2', '0x1.fd3004d346698p-3',
+    '0x1.80b3fecb2e65ap-1', '0x1.fd3004d346698p-3', '0x1.0a8aa441e86d1p-1',
+    '0x1.eaeab77c2f25ep-2', '0x1.c5ce9c3c6ccb4p-2', '0x1.86695efa16cb0p-2',
+    '0x1.3ccb5082f49a7p-1', '0x1.86695efa16cb1p-2', '0x1.86695efa16cb0p-2',
+    '0x1.3ccb5082f49a7p-1', '0x1.b9f0d27ce9343p-2', '0x1.230796c18b65dp-1',
+    '0x1.9f2f9e02d1c7cp-2', '0x1.306830fe971c2p-1', '0x1.9f2f9e02d1c7cp-2',
+    '0x1.2f9e1942b8ff4p-1', '0x1.306830fe971c2p-1', '0x1.9f2f9e02d1c7dp-2',
+    '0x1.e94d8328a0faap-2', '0x1.0b593e6baf82ap-1', '0x1.dfb729d09147bp-2',
+    '0x1.10246b17b75c2p-1', '0x1.dfb729d09147bp-2', '0x1.0b6742373cc62p-1', None,
+    '0x1.a7cd1a3ea5ce6p-2', '0x1.2c1972e0ad18cp-1',
+]
+
+
+def _pinned_answers():
+    """infer with event, open-effect and :given queries, estimate of the
+    front-door formula, and evaluate with a context, on each pinned joint."""
+    for seed, confounding in _PIN_JOINTS:
+        scm = random_scm(seed, confounding_prob=confounding)
+        joint = exact_joint(scm)
+        names = sorted(scm.model.vertices)
+        x, z, y = names[0], names[1], names[-1]
+        for query in (
+            make_query({y: 1}, do={x: 0}),
+            make_query([y], do={x: 1}),
+            make_query({y: 0}, do={x: 1}, given={z: 1}),
+            make_query([y], do={z: 0}, given={x: 0}),
+        ):
+            answer = infer(scm.model, joint, query)
+            if isinstance(answer, Fail):
+                yield None
+            elif isinstance(answer, float):
+                yield answer.hex()
+            else:
+                yield from (answer.measure({y: v}).hex() for v in (0, 1))
+        front_door = identify(_PIN_FRONT_DOOR, make_query({"c": 1}, do={"a": 0}))
+        yield estimate(joint, front_door).hex()
+        opened = identify(_PIN_FRONT_DOOR, make_query(["c"], do=["a"]))
+        yield evaluate(joint, opened, {"a": 1, "c": 0}).hex()
+
+
+def test_answers_are_pinned_bit_for_bit():
+    # summation adds in order with +=, never with sum(), which compensates
+    # on Python 3.12 and later; these values hold on every supported version
+    assert list(_pinned_answers()) == _PINNED_HEX
+
+
+def _reference(form, env, dist, pairs, total):
+    """Evaluate a form by scanning the (event, weight) pairs for every term,
+    enumerating each sum in support order, and adding and multiplying in
+    order."""
+    if isinstance(form, Prob):
+        numer = _scan(pairs, total, {v: env[v] for v in form.p | form.given})
+        if not form.given:
+            return numer
+        denom = _scan(pairs, total, {v: env[v] for v in form.given})
+        return 0.0 if denom == 0.0 else numer / denom
+    if isinstance(form, Sum):
+        names = sorted(form.sub)
+        total_value = 0.0
+        for values in itertools.product(*(dist.support[v] for v in names)):
+            total_value += _reference(form.body, {**env, **dict(zip(names, values))}, dist, pairs, total)
+        return total_value
+    if isinstance(form, Product):
+        out = 1.0
+        for factor in form.factors:
+            out *= _reference(factor, env, dist, pairs, total)
+        return out
+    denom = _reference(form.denom, env, dist, pairs, total)
+    return 0.0 if denom == 0.0 else _reference(form.numer, env, dist, pairs, total) / denom
+
+
+def _summed_depth(form) -> int:
+    """The most summed variables on any path from the root to a term."""
+    if isinstance(form, Prob):
+        return 0
+    if isinstance(form, Sum):
+        return len(form.sub) + _summed_depth(form.body)
+    children = form.factors if isinstance(form, Product) else (form.numer, form.denom)
+    return max(map(_summed_depth, children))
+
+
+@st.composite
+def _forms(draw, names):
+    """Nested sums, products and fractions of terms over `names`; a sum may
+    rebind a variable that an outer sum or the context already binds."""
+    subset = st.lists(st.sampled_from(names), max_size=len(names), unique=True)
+    terms = st.builds(lambda p, g: Prob(frozenset(p), frozenset(g) - frozenset(p)), subset, subset)
+    forms = st.recursive(
+        terms,
+        lambda inner: st.one_of(
+            st.builds(lambda b, s: Sum(b, frozenset(s)), inner,
+                      st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)),
+            st.builds(lambda fs: Product(tuple(fs)), st.lists(inner, min_size=2, max_size=3)),
+            st.builds(Fraction, inner, inner),
+        ),
+        max_leaves=6,
+    )
+    return draw(forms.filter(lambda f: _summed_depth(f) <= 3))
+
+
+@given(_joints(), st.data())
+def test_evaluate_matches_a_reference_evaluator(joint, data):
+    dist, pairs, total = joint
+    names = [str(v) for v in dist.variables]
+    form = data.draw(_forms(names))
+    context = {n: data.draw(st.sampled_from(_VALUES)) for n in names}
+    env = {Variable(n): value for n, value in context.items()}
+    assert evaluate(dist, form, context) == _reference(form, env, dist, pairs, total)
+
+
+class TestEvaluatorEdges:
+    def test_unhashable_given_value_is_a_zero_conditional(self, example_distribution):
+        form = prob(["y"], ["x"])
+        assert evaluate(example_distribution, form, {"y": 1, "x": [1]}) == 0.0
+        evaluator = _Evaluator(example_distribution)
+        assert evaluator.run(form, {Variable("y"): 1, Variable("x"): [1]}) == 0.0
+        assert evaluator.zero_conditionals == 1
+
+    @pytest.mark.parametrize("p, given, context", [
+        (["nowhere"], [], {}),
+        (["y", "x"], ["nowhere"], {"y": 1, "nowhere": 0}),
+    ])
+    def test_unbound_is_reported_before_unknown(self, example_distribution, p, given, context):
+        with pytest.raises(EstimationError, match="unbound"):
+            evaluate(example_distribution, prob(p, given), context)
+
+    def test_term_unbound_where_an_equal_term_was_bound(self, example_distribution):
+        # the denominator is evaluated first, binding x in its sum
+        form = Fraction(prob(["x"]), sum_over(prob(["x"]), ["x"]))
+        with pytest.raises(EstimationError, match="unbound variable :x"):
+            evaluate(example_distribution, form)
+
+    def test_sum_over_an_unknown_variable_fails_only_when_reached(self, example_distribution):
+        unknown = sum_over(prob(["nowhere"]), ["nowhere"])
+        with pytest.raises(UnknownVariableError):
+            evaluate(example_distribution, unknown)
+        skipped = Fraction(unknown, prob(["x"]))
+        assert evaluate(example_distribution, skipped, {"x": 77}) == 0.0
+        with pytest.raises(UnknownVariableError):
+            evaluate(example_distribution, skipped, {"x": 1})
+
+    @pytest.mark.parametrize("given, hex_value, zeros", [
+        (None, '0x1.3b13b13b13b14p-2', 1),
+        ({"z": 1}, '0x0.0p+0', 3),
+        ({"z": 0}, '0x1.0000000000000p-1', 0),
+    ])
+    def test_empty_stratum_count(self, given, hex_value, zeros):
+        # no sample has x = 1 and z = 1
+        rows = [
+            {"z": z, "x": x, "y": y}
+            for z, x, y in itertools.product((0, 1), repeat=3)
+            if (x, z) != (1, 1)
+        ]
+        dist = categorical(rows * 2 + [{"z": 1, "x": 0, "y": 1}])
+        model = make_model({"z": [], "x": ["z"], "y": ["x", "z"]})
+        formula = identify(model, make_query({"y": 1}, do={"x": 1}, given=given))
+        evaluator = _Evaluator(dist)
+        assert evaluator.run(formula.form, dict(formula.bindings)).hex() == hex_value
+        assert evaluator.zero_conditionals == zeros
 
 
 class TestInfer:

@@ -3,6 +3,9 @@
 The library reads every argument, so a Python caller and a script get the
 same error class; a script's error also carries the position of its form.
 """
+import csv
+import re
+
 import pytest
 
 from whittemore import (
@@ -21,6 +24,7 @@ from whittemore import (
     read_csv,
     signature,
 )
+from whittemore.errors import DataFormatError
 from whittemore.interpreter import _OPERATORS
 from tests.conftest import KIDNEY_CSV, REPO_ROOT
 
@@ -137,4 +141,37 @@ def test_script_error_is_positioned(form, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"{path}: 2:3: ")
+    assert "Traceback" not in err
+
+
+def _undecodable(directory):
+    path = directory / "latin1.csv"
+    path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+    return path, "not UTF-8 text"
+
+
+def _oversized_field(directory):
+    path = directory / "wide.csv"
+    path.write_text("a,b\n1,2\n3," + "x" * 200_000 + "\n4,5\n")
+    return path, ":3: field larger than field limit"
+
+
+@pytest.mark.parametrize("bad_file", [_undecodable, _oversized_field])
+def test_unreadable_csv_is_a_data_format_error(bad_file, tmp_path):
+    path, message = bad_file(tmp_path)
+    limit = csv.field_size_limit()
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}") as err:
+        read_csv(str(path))
+    assert message in str(err.value)
+    assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("bad_file", [_undecodable, _oversized_field])
+def test_unreadable_csv_in_a_script_exits_1(bad_file, tmp_path, capsys):
+    path, message = bad_file(tmp_path)
+    script = tmp_path / "read.wt"
+    script.write_text(f'(read-csv "{path}")\n')
+    assert main(["run", str(script)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
