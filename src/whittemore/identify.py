@@ -23,6 +23,7 @@ from .formula import (
     Fraction,
     Hedge,
     Prob,
+    Sum,
     free_variables,
     product,
     sum_over,
@@ -31,18 +32,17 @@ from .model import (
     Data,
     Model,
     Variable,
+    _c_components,
+    _order_within,
     _reach,
-    ancestors,
     as_event,
-    c_components,
     d_separated,
     latent_projection,
     names,
     subgraph,
-    topological_order,
     variables,
 )
-from .simplify import simplify_form
+from .simplify import _rule_condition, _rule_marginalize, simplify_form
 
 
 def _normalize_part(value, what: str):
@@ -185,9 +185,8 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
     y = variables(query.effect)
     x = variables(query.do)
     z = variables(query.given)
-    joint = Prob(g.vertices)
 
-    result = _id(y | z, x, joint, g)
+    result = _id(y | z, x, Prob(g.vertices), g.vertices, g)
     if isinstance(result, Fail):
         return result
     form: Form = result
@@ -204,10 +203,6 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
     free = free_variables(form)
     bindings = {v: val for v, val in query.bound_values().items() if v in free}
     return Formula(form, bindings, effect=y)
-
-
-def _sorted_components(g: Model) -> list[frozenset[Variable]]:
-    return sorted(c_components(g), key=lambda c: tuple(sorted(c)))
 
 
 def _prune_conditioning(
@@ -230,71 +225,79 @@ def _prune_conditioning(
     return frozenset(keep)
 
 
-def _conditional_factor(
-    p_form: Form, v: Variable, order: list[Variable], g: Model
-) -> Form:
-    """The current distribution conditioned: P(v | topological predecessors)."""
-    vertex_set = g.vertices
-    predecessors = frozenset(order[: order.index(v)])
-    if isinstance(p_form, Prob) and p_form.p == vertex_set and not p_form.given:
-        # conditionals of the plain joint: emit directly, minus irrelevancies
-        return Prob(frozenset((v,)), _prune_conditioning(g, v, predecessors))
-    numer = sum_over(p_form, vertex_set - (predecessors | {v}))
-    denom = sum_over(p_form, vertex_set - predecessors)
-    return Fraction(numer, denom)
+def _marginal(p_form: Form, t: frozenset[Variable]) -> Form:
+    """sum_t of the current distribution, as simplify leaves it when that is a plain joint."""
+    f = Sum(p_form, t) if t else p_form
+    return _rule_marginalize(f) or f
+
+
+def _chain_factors(
+    p_form: Form, s: frozenset[Variable], v: frozenset[Variable], g: Model
+) -> list[Form]:
+    """P(u | topological predecessors in v) of the current distribution, for each u in s."""
+    order = _order_within(g, v)
+    factors = []
+    for u in sorted(s):
+        before = frozenset(order[: order.index(u)])
+        if v == g.vertices:
+            # the plain joint of g: emit its conditional, minus irrelevancies
+            factors.append(Prob(frozenset((u,)), _prune_conditioning(g, u, before)))
+        else:
+            # P(u, before) / P(before) of a plain joint is P(u | before)
+            f = Fraction(_marginal(p_form, v - before - {u}), _marginal(p_form, v - before))
+            factors.append(_rule_condition(f) or f)
+    return factors
 
 
 def _id(
-    y: frozenset[Variable], x: frozenset[Variable], p_form: Form, g: Model
+    y: frozenset[Variable], x: frozenset[Variable], p_form: Form, v: frozenset[Variable], g: Model
 ) -> Form | Fail:
-    v = g.vertices
-
+    """ID on the subgraph of g over v, walked in place. p_form is the plain
+    joint over v until step 7 rewrites it, so it is g's own joint while v is
+    all of g."""
     # 1: no intervention left; marginalize the current distribution
     if not x:
-        return sum_over(p_form, v - y)
+        return _marginal(p_form, v - y)
 
     # 2: restrict to the ancestors of the effect
-    anc = ancestors(g, y)
-    if anc != v:
-        return _id(y, x & anc, sum_over(p_form, v - anc), subgraph(g, anc))
+    anc = _reach(g._parent_sets, y, keep=v)
+    if len(anc) < len(v):
+        anc = frozenset(anc)
+        return _id(y, x & anc, _marginal(p_form, v - anc), anc, g)
 
     # 3: grow the intervention with vertices that no longer reach the effect
     #    once the intervention's incoming edges are cut
-    w = (v - x) - _reach(g._parent_sets, y, x)
+    w = (v - x) - _reach(g._parent_sets, y, x, v)
     if w:
-        return _id(y, x | w, p_form, g)
+        return _id(y, x | w, p_form, v, g)
 
     # 4: factor across the confounded components of the do-removed subgraph
-    components = _sorted_components(subgraph(g, v - x))
+    components = _c_components(g, v - x)
     if len(components) > 1:
         factors = []
         for s in components:
-            r = _id(s, v - s, p_form, g)
+            r = _id(s, v - s, p_form, v, g)
             if isinstance(r, Fail):
                 return r
             factors.append(r)
         return sum_over(product(factors), v - (y | x))
 
     s = components[0]
-    g_components = _sorted_components(g)
+    v_components = _c_components(g, v)
 
     # 5: the whole graph is one confounded component; a hedge blocks the query
-    if len(g_components) == 1:
-        hedge = Hedge(forest=g, subforest=subgraph(g, s), witness=y)
+    if len(v_components) == 1:
+        hedge = Hedge(forest=subgraph(g, v), subforest=subgraph(g, s), witness=y)
         message = (
             f"P({', '.join(sorted(y))} | do({', '.join(sorted(x))})) is not "
             f"identifiable: hedge over {sorted(v)} with confounded subforest {sorted(s)}"
         )
         return Fail(hedge, message)
 
-    order = topological_order(g)
-
     # 6: the component stands alone; truncate by chain factorization
-    if s in g_components:
-        factors = [_conditional_factor(p_form, u, order, g) for u in sorted(s)]
-        return sum_over(product(factors), s - y)
+    if s in v_components:
+        return sum_over(product(_chain_factors(p_form, s, v, g)), s - y)
 
     # 7: recurse into the enclosing component with a rewritten distribution
-    s_prime = next(c for c in g_components if s <= c)
-    factors = [_conditional_factor(p_form, u, order, g) for u in sorted(s_prime)]
-    return _id(y, x & s_prime, product(factors), subgraph(g, s_prime))
+    s_prime = next(c for c in v_components if s <= c)
+    return _id(y, x & s_prime, product(_chain_factors(p_form, s_prime, v, g)), s_prime, g)

@@ -7,7 +7,7 @@ the pairwise bidirected edges among its members.
 
 Every graph traversal (ancestors, c-components, the ancestors of a
 d-separation conditioning set, descent through hidden vertices in a latent
-projection, and step 3 of identification) goes through the one walk `_reach`.
+projection, and the walks of identification) goes through the one walk `_reach`.
 """
 from __future__ import annotations
 
@@ -134,11 +134,9 @@ class Model:
                     raise UnknownVariableError(f"confounding variable {c!r} is not a dag key")
             groups.add(g)
         _build(self, normalized, frozenset(groups))
-        order = _kahn_order(self._parent_sets, self._children)
-        if len(order) != len(normalized):
-            stuck = sorted(vertex_set - set(order))
+        if len(self._order) != len(normalized):
+            stuck = sorted(vertex_set - set(self._order))
             raise CyclicGraphError(f"model contains a directed cycle through {stuck}")
-        object.__setattr__(self, "_order", tuple(order))
 
     def __setattr__(self, name, value):
         raise AttributeError("Model is immutable")
@@ -193,7 +191,7 @@ def _build(
 
     Nothing is checked: Model(...) calls this after validating user input,
     subgraph and latent_projection with parts of a model that are valid by
-    construction. `order` is the topological order when known, else None.
+    construction. `order` is the topological order when known, else computed.
     """
     parent_sets = {v: frozenset(ps) for v, ps in dag.items()}
     children: dict[Variable, list[Variable]] = {v: [] for v in dag}
@@ -212,7 +210,7 @@ def _build(
     setattr_(m, "_parent_sets", parent_sets)
     setattr_(m, "_children", {v: frozenset(cs) for v, cs in children.items()})
     setattr_(m, "_siblings", {v: frozenset(ws - {v}) for v, ws in siblings.items()})
-    setattr_(m, "_order", order)
+    setattr_(m, "_order", order or tuple(_kahn_order(parent_sets, children)))
     return m
 
 
@@ -278,25 +276,36 @@ def _contained(m: Model, s: Iterable[Any]) -> frozenset[Variable]:
 
 def topological_order(m: Model) -> list[Variable]:
     """Deterministic topological order: parents first, ties by name."""
-    if m._order is None:
-        object.__setattr__(m, "_order", tuple(_kahn_order(m._parent_sets, m._children)))
     return list(m._order)
+
+
+def _order_within(m: Model, vs: frozenset[Variable]) -> list[Variable]:
+    """The topological order of the subgraph over vs, without building it. Over
+    a parent-closed set, the vertices of m become ready in the same relative
+    order as in the subgraph, so the ties fall the same way."""
+    parents = m._parent_sets
+    if all(parents[v] <= vs for v in vs):
+        return [v for v in m._order if v in vs]
+    return _kahn_order({v: parents[v] & vs for v in vs}, {v: m._children[v] & vs for v in vs})
 
 
 def _reach(
     step: Mapping[Variable, frozenset[Variable]],
     seeds: Iterable[Variable],
     stop: frozenset[Variable] = frozenset(),
+    keep: frozenset[Variable] | None = None,
 ) -> set[Variable]:
     """The seeds and every vertex reached from them along `step`, a map from
     each vertex to its neighbours. A vertex in `stop` is reached but not
-    walked on from."""
+    walked on from, and with `keep` the walk stays inside that set."""
     seen = set(seeds)
     stack = list(seen)
     while stack:
         v = stack.pop()
         if v not in stop:
             new = step[v] - seen
+            if keep is not None:
+                new &= keep
             seen |= new
             stack.extend(new)
     return seen
@@ -309,35 +318,27 @@ def ancestors(m: Model, s: Iterable[Any]) -> frozenset[Variable]:
 
 def c_components(m: Model) -> frozenset[frozenset[Variable]]:
     """Partition of the vertices into maximal bidirected-connected sets."""
+    return frozenset(_c_components(m, m.vertices))
+
+
+def _c_components(m: Model, vs: frozenset[Variable]) -> list[frozenset[Variable]]:
+    """The c-components of the subgraph over vs, ordered by least member."""
     siblings = m._siblings
-    out = {frozenset((v,)) for v in m.vertices if v not in siblings}
-    unseen = set(siblings)
-    while unseen:
-        comp = frozenset(_reach(siblings, (unseen.pop(),)))
-        unseen -= comp
-        out.add(comp)
-    return frozenset(out)
+    out, seen = [], set()
+    for v in sorted(vs):
+        if v not in seen:
+            comp = frozenset(_reach(siblings, (v,), keep=vs) if v in siblings else (v,))
+            seen |= comp
+            out.append(comp)
+    return out
 
 
 def subgraph(m: Model, s: Iterable[Any]) -> Model:
     """Induced subgraph over s; confounding sets are intersected with s."""
     keep = _contained(m, s)
-    dag = {}
-    closed = True  # whether keep holds every parent of its members
-    for v, ps in m.dag.items():
-        if v in keep:
-            if m._parent_sets[v] <= keep:
-                dag[v] = ps
-            else:
-                dag[v] = tuple(p for p in ps if p in keep)
-                closed = False
+    dag = {v: tuple(p for p in ps if p in keep) for v, ps in m.dag.items() if v in keep}
     confounding = frozenset(g for g in (g & keep for g in m.confounding) if len(g) >= 2)
-    # Over a parent-closed set, the vertices of m become ready in the same
-    # relative order as in the subgraph, so the ties fall the same way.
-    order = None
-    if closed and m._order is not None:
-        order = tuple(v for v in m._order if v in keep)
-    return _build(object.__new__(Model), dag, confounding, order)
+    return _build(object.__new__(Model), dag, confounding, tuple(_order_within(m, keep)))
 
 
 def d_separated(

@@ -1,9 +1,16 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 
+import whittemore.model
 from whittemore import (
     Data,
     Fail,
     Formula,
+    evaluate,
+    fraction,
     free_variables,
     identify,
     make_model,
@@ -13,6 +20,9 @@ from whittemore import (
     sum_over,
 )
 from whittemore.errors import QueryError, UnknownVariableError
+from whittemore.formula import form_key
+from whittemore.model import Variable
+from whittemore.oracle import DiscreteSCM, TableMechanism, exact_joint, intervene
 
 
 class TestMakeQuery:
@@ -159,3 +169,158 @@ class TestMarkovianNeverFails:
                     continue
                 result = identify(scm.model, make_query([effect], do=[do_var]))
                 assert isinstance(result, Formula)
+
+
+def corpus_queries(count=300):
+    """Seeded semi-Markovian identification problems of 3-9 vertices.
+
+    Names are shuffled against topological position, so that name order is
+    not a topological order. Odd queries bind their do-variables to values;
+    every third query hides 1-2 vertices through its data signature.
+    """
+    rng = random.Random("identify-corpus")
+    for i in range(count):
+        n = rng.randint(3, 9)
+        names = list("abcdefghi"[:n])
+        rng.shuffle(names)  # names[j] sits at topological position j
+        dag = {v: [names[k] for k in range(j) if rng.random() < 0.4] for j, v in enumerate(names)}
+        pairs = [
+            (names[a], names[b])
+            for a, b in itertools.combinations(range(n), 2)
+            if rng.random() < 0.25
+        ]
+        effect_count = rng.randint(1, 2)
+        do_count = min(rng.randint(1, 3), n - effect_count)
+        picked = rng.sample(names, effect_count + do_count)
+        effect, do = picked[:effect_count], picked[effect_count:]
+        rest = [v for v in names if v not in picked]
+        hidden = rng.sample(rest, min(len(rest), rng.randint(1, 2))) if i % 3 == 2 else []
+        model = make_model(dag, pairs)
+        data = Data([v for v in names if v not in hidden])
+        query = make_query(effect, do={v: 1 for v in do} if i % 2 else do)
+        yield model, data, query
+
+
+def _model_key(m):
+    parents = sorted((v, sorted(m.parents(v))) for v in m.vertices)
+    return parents, sorted(sorted(g) for g in m.confounding)
+
+
+def render_result(result):
+    """A text that is equal for two results exactly when they are `==`,
+    plus the message of a Fail."""
+    if isinstance(result, Formula):
+        return repr((form_key(result.form), sorted(result.bindings.items())))
+    hedge = result.hedge
+    return repr((
+        _model_key(hedge.forest),
+        _model_key(hedge.subforest),
+        sorted(hedge.witness),
+        result.message,
+    ))
+
+
+class TestCorpusDigest:
+    # SHA-256 of the rendered results of the 300 corpus queries; a change to
+    # identify that alters any formula, hedge or message changes it
+    DIGEST = "8a8b100700a838658782a74551ccf9ab5025925fb462938b4aebce42395198a6"
+
+    def test_corpus_digest(self):
+        rendering = "\n".join(
+            render_result(identify(model, data, query))
+            for model, data, query in corpus_queries()
+        )
+        assert hashlib.sha256(rendering.encode()).hexdigest() == self.DIGEST
+
+
+def napkin():
+    return make_model({"w": [], "z": ["w"], "x": ["z"], "y": ["x"]}, [{"w", "x"}, {"w", "y"}])
+
+
+def napkin_scm():
+    """Binary napkin SCM with coins u: w = (u_wx or u_wy) xor u_w,
+    z = w xor u_z, x = z xor u_wx xor u_x and y = x xor u_wy xor u_y.
+
+    The back-door path x <- z <- w <-> y keeps P(y | x) well away from
+    P(y | do(x)).
+    """
+    w, z, x, y = (Variable(v) for v in "wzxy")
+    wx, wy = frozenset((w, x)), frozenset((w, y))
+    coin = lambda p: ((0, 1.0 - p), (1, p))  # noqa: E731
+    noise = {wx: coin(0.15), wy: coin(0.3)}
+    noise.update((frozenset((v,)), coin(p)) for v, p in zip((w, z, x, y), (0.05, 0.05, 0.05, 0.1)))
+
+    def mechanism(v, parents, shared, f):
+        groups = (frozenset((v,)),) + shared
+        table = {
+            (pv, nv): f(*pv, *nv)
+            for pv in itertools.product((0, 1), repeat=len(parents))
+            for nv in itertools.product((0, 1), repeat=len(groups))
+        }
+        return TableMechanism(parents, groups, table)
+
+    mechanisms = {
+        w: mechanism(w, (), (wx, wy), lambda own, a, b: (a | b) ^ own),
+        z: mechanism(z, (w,), (), lambda pw, own: pw ^ own),
+        x: mechanism(x, (z,), (wx,), lambda pz, own, a: pz ^ a ^ own),
+        y: mechanism(y, (x,), (wy,), lambda px, own, b: px ^ b ^ own),
+    }
+    return DiscreteSCM(napkin(), noise, mechanisms, {v: (0, 1) for v in (w, z, x, y)})
+
+
+class TestStepSeven:
+    """The napkin graph w -> z -> x -> y, w <-> x, w <-> y: P(y | do(x)) needs
+    step 7, which recurses into the component {w, x, y} of the graph."""
+
+    def test_napkin_formula(self):
+        result = identify(napkin(), make_query(["y"], do=["x"]))
+        chain = product([prob(["w"]), prob(["x"], ["w", "z"]), prob(["y"], ["w", "x", "z"])])
+        ratio = fraction(sum_over(chain, ["w"]), sum_over(chain, ["w", "y"]))
+        # the result is constant in z, which is averaged over its marginal
+        assert result == Formula(sum_over(product([prob(["z"]), ratio]), ["z"]), {})
+
+    def test_napkin_matches_the_mutilated_scm(self):
+        scm = napkin_scm()
+        joint = exact_joint(scm)
+        result = identify(scm.model, make_query(["y"], do=["x"]))
+        for x in (0, 1):
+            truth = exact_joint(intervene(scm, {"x": x}))
+            for y in (0, 1):
+                want = truth.measure({"y": y})
+                assert abs(joint.measure({"x": x, "y": y}) / joint.measure({"x": x}) - want) > 0.05
+                got = evaluate(joint, result, {"x": x, "y": y})
+                assert got == pytest.approx(want, abs=1e-9)
+
+
+def front_door_chain(k):
+    names = ["x"] + [f"m{i}" for i in range(1, k + 1)] + ["y"]
+    return make_model({v: [names[i - 1]] if i else [] for i, v in enumerate(names)}, [{"x", "y"}])
+
+
+class TestModelsBuilt:
+    """The recursion walks vertex sets of one graph: a model is built only
+    for the forest and the subforest of a hedge."""
+
+    def count_builds(self, monkeypatch, model):
+        built = []
+        build = whittemore.model._build
+        monkeypatch.setattr(
+            whittemore.model, "_build", lambda *args: built.append(1) or build(*args)
+        )
+        result = identify(model, make_query(["y"], do=["x"]))
+        return result, len(built)
+
+    def test_none_for_a_long_front_door_chain(self, monkeypatch):
+        result, built = self.count_builds(monkeypatch, front_door_chain(16))
+        assert isinstance(result, Formula)
+        assert built == 0
+
+    def test_none_for_the_napkin(self, monkeypatch):
+        result, built = self.count_builds(monkeypatch, napkin())
+        assert isinstance(result, Formula)
+        assert built == 0
+
+    def test_forest_and_subforest_for_a_bow(self, monkeypatch, bow):
+        result, built = self.count_builds(monkeypatch, bow)
+        assert isinstance(result, Fail)
+        assert built == 2

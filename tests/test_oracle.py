@@ -1,11 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from whittemore import (
+    CategoricalDistribution,
+    Data,
     Fail,
+    ancestors,
     evaluate,
     identify,
+    latent_projection,
     make_model,
     make_query,
     measure,
@@ -219,3 +224,52 @@ class TestEndToEndSoundness:
                         )
                         want = truths[do_val].measure({effect: effect_val})
                         assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_set_queries_on_restricted_data_match_mutilated_truth(self, seed):
+        # effect and do sets of 1-2 variables on a 5-variable SCM; every other
+        # query hides a variable, which identify absorbs by latent projection
+        scm = five_variable_scm(seed)
+        joint = exact_joint(scm)
+        names = sorted(scm.model.vertices)
+        causes = [v for v in names if len(scm.model.children(v)) >= 2]
+        rng = random.Random(seed)
+        truths = {}
+        for i in range(8):
+            # a hidden common cause is what adds a bidirected edge
+            hidden = rng.choice(causes or names) if i % 2 else None
+            signature = [v for v in names if v != hidden]
+            effect = rng.sample(signature, rng.randint(1, 2))
+            # do-variables upstream of the effect where there are any
+            others = [v for v in signature if v not in effect]
+            upstream = [v for v in others if v in ancestors(scm.model, effect)] or others
+            do = rng.sample(upstream, min(len(upstream), rng.randint(1, 2)))
+            result = identify(scm.model, Data(signature), make_query(effect, do=do))
+            if isinstance(result, Fail):
+                assert latent_projection(scm.model, signature).confounding
+                continue
+            observed = marginal_joint(joint, signature)
+            for do_bits in itertools.product((0, 1), repeat=len(do)):
+                fixed = tuple(sorted(zip(do, do_bits)))
+                if fixed not in truths:
+                    truths[fixed] = exact_joint(intervene(scm, dict(fixed)))
+                for effect_bits in itertools.product((0, 1), repeat=len(effect)):
+                    event = dict(zip(effect, effect_bits))
+                    got = evaluate(observed, result, {**dict(fixed), **event})
+                    assert got == pytest.approx(truths[fixed].measure(event), abs=1e-9)
+
+
+def five_variable_scm(seed):
+    """The first random SCM of five variables from seed 100 * seed on."""
+    k = 100 * seed
+    while len((scm := random_scm(k, max_vars=5, confounding_prob=0.2)).model.vertices) < 5:
+        k += 1
+    return scm
+
+
+def marginal_joint(joint, names):
+    """The marginal of a binary joint over names, as a distribution of its own."""
+    events = [dict(zip(names, bits)) for bits in itertools.product((0, 1), repeat=len(names))]
+    return CategoricalDistribution.from_weights(
+        [(event, joint.measure(event)) for event in events], tolerance=1e-9
+    )
