@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
@@ -59,10 +59,12 @@ class CategoricalDistribution:
 
     @classmethod
     def from_samples(cls, samples: Iterable[Mapping[Any, Any]]) -> "CategoricalDistribution":
-        """Build from sample events, each counting once. The rows of a
-        SampleTable are counted as they are, with no event built per row."""
+        """Build from sample events, each counting once. A SampleTable's
+        codes are counted and each mapped to its distinct row, with no event
+        or row tuple built per row."""
         if isinstance(samples, SampleTable):
-            return cls._from_cells(samples.header, Counter(samples.rows), None)
+            cells = {samples.distinct[code]: n for code, n in Counter(samples.codes).items()}
+            return cls._from_cells(samples.header, cells, None)
         return cls._from_pairs(zip(samples, itertools.repeat(1)))
 
     @classmethod
@@ -252,35 +254,48 @@ class CategoricalDistribution:
 
 
 class SampleTable(Sequence):
-    """Sample events read from a table: a header of variables and rows of cells.
+    """Sample events read from a table: a header of variables, the distinct
+    rows of cells, and one code per row.
 
     An immutable sequence of events: indexing and iteration give a fresh
     `{Variable: cell}` map per row, a slice is a table, and a table equals a
     list or tuple of maps that holds the same events in the same order.
-    Each row is a tuple with one cell per header variable, so `categorical`
-    counts the rows as they are.
+    `distinct` holds each row tuple once, in first-seen order, and `codes`
+    gives each row's index into it, so a repeated record costs one int and
+    `categorical` counts the codes. Rows equal as tuples share one code and
+    one stored tuple.
     """
 
-    __slots__ = ("header", "rows")
+    __slots__ = ("header", "distinct", "codes")
 
-    def __init__(self, header: Sequence[Variable], rows: Sequence[tuple]):
+    def __init__(self, header: Sequence[Variable], rows: Iterable[Sequence]):
+        # a row seen for the first time gets the next code
+        index: defaultdict[tuple, int] = defaultdict(itertools.count().__next__)
+        codes = tuple(map(index.__getitem__, map(tuple, rows)))
         object.__setattr__(self, "header", tuple(header))
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "distinct", tuple(index))
+        object.__setattr__(self, "codes", codes)
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleTable is immutable")
 
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """Every row in order, each a shared tuple from `distinct`."""
+        return tuple(map(self.distinct.__getitem__, self.codes))
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.codes)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return SampleTable(self.header, self.rows[index])
-        return dict(zip(self.header, self.rows[index]))
+            return SampleTable(self.header, map(self.distinct.__getitem__, self.codes[index]))
+        return dict(zip(self.header, self.distinct[self.codes[index]]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SampleTable) and other.header == self.header:
-            return self.rows == other.rows
+            # both are coded in first-seen order, so equal rows give equal codes
+            return self.codes == other.codes and self.distinct == other.distinct
         if not isinstance(other, (SampleTable, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
@@ -289,7 +304,7 @@ class SampleTable(Sequence):
 
     def __repr__(self) -> str:
         vs = " ".join(repr(v) for v in self.header)
-        return f"<sample table over [{vs}], {len(self.rows)} rows>"
+        return f"<sample table over [{vs}], {len(self.codes)} rows>"
 
 
 def categorical(samples: Iterable[Mapping[Any, Any]]) -> CategoricalDistribution:

@@ -103,13 +103,14 @@ def _op_q(effect, *rest) -> Query:
 def read_csv(path: str | os.PathLike) -> SampleTable:
     """Load a CSV file (header row required) as a table of sample events.
 
-    Cell text is kept as strings; no numeric coercion is applied. The table
-    is an immutable sequence of `{Variable: cell}` maps; call `list` on it
-    for a vector that can be changed.
+    Cell text is kept as strings; no numeric coercion is applied. A UTF-8
+    byte-order mark at the start of the file is skipped. The table is an
+    immutable sequence of `{Variable: cell}` maps; call `list` on it for a
+    vector that can be changed.
     """
     _check_path(path, "read-csv")
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path!r}: {exc.strerror}") from exc
     with handle:
@@ -122,21 +123,21 @@ def read_csv(path: str | os.PathLike) -> SampleTable:
             if len(set(header)) != len(header):
                 raise DataFormatError(f"{path}:1: duplicate column name")
             line = reader.line_num + 1
-            rows = tuple(map(tuple, reader))
+            table = SampleTable(header, reader)
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    if rows and set(map(len, rows)) != {len(header)}:
-        # find the short or long row, and the line it starts on: one line,
-        # plus one for each line break inside its quoted cells
-        for row in rows:
+    if any(len(row) != len(header) for row in table.distinct):
+        # find the first short or long row, and the line it starts on: one
+        # line, plus one for each line break inside its quoted cells
+        for row in table.rows:
             if len(row) != len(header):
                 raise DataFormatError(
                     f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
                 )
             line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
-    return SampleTable(header, rows)
+    return table
 
 
 def _check_path(path: Any, op: str) -> None:
@@ -149,11 +150,11 @@ def write_csv(path: str | os.PathLike, samples: Sequence[Mapping[Any, Any]]) -> 
 
     A table is written as its header and rows. Otherwise every sample must
     be a map with the first one's variables. All of the input is checked
-    before the file is opened.
+    before the file is opened. No byte-order mark is written.
     """
     _check_path(path, "write_csv")
     if isinstance(samples, SampleTable):
-        columns, rows = samples.header, samples.rows
+        columns, rows = samples.header, map(samples.distinct.__getitem__, samples.codes)
     else:
         if not isinstance(samples, (list, tuple)):
             raise DataFormatError(

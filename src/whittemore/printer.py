@@ -91,7 +91,7 @@ def _sample_rows(value: Any) -> tuple[Sequence, list] | None:
     """The columns and rows of a non-empty collection of sample events over
     one set of variables, or None for any other value."""
     if isinstance(value, SampleTable):
-        return (value.header, value.rows) if value.rows else None
+        return (value.header, value.rows) if value.codes else None
     if not isinstance(value, (list, tuple)) or not value:
         return None
     if not all(isinstance(x, Mapping) and x for x in value):

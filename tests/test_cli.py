@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -56,6 +57,61 @@ class TestReadCsv:
         with pytest.raises(DataFormatError) as err:
             read_csv(str(path))
         assert f"bad.csv:{line}: expected 2 fields" in str(err.value)
+
+    def test_repeated_ragged_record_is_reported_at_its_first_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n3\n1,2\n3\n")
+        with pytest.raises(DataFormatError) as err:
+            read_csv(str(path))
+        assert str(err.value).endswith("bad.csv:3: expected 2 fields, got 1")
+
+    def test_ragged_record_after_many_repeated_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n" + "1,2\n" * 10_000 + "1,2,3\n")
+        with pytest.raises(DataFormatError) as err:
+            read_csv(str(path))
+        assert str(err.value).endswith("bad.csv:10002: expected 2 fields, got 3")
+
+    def test_repeated_records_share_one_row(self, tmp_path):
+        # 20,000 rows of 4 columns, 12 of them distinct: the table keeps
+        # each distinct row once plus one small int per row
+        distinct = [tuple(f"{c}{i}" for c in "abcd") for i in range(12)]
+        path = tmp_path / "repeated.csv"
+        path.write_text(
+            "a,b,c,d\n" + "".join(",".join(distinct[i * 7 % 12]) + "\n" for i in range(20_000))
+        )
+        tracemalloc.start()
+        try:
+            table = read_csv(str(path))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000
+        assert len(table) == 20_000
+        assert table.rows[0] is table.rows[12] and table.rows[0] is not table.rows[1]
+        assert table.distinct == tuple(distinct[i * 7 % 12] for i in range(12))
+        assert table.codes[:13] == (*range(12), 0)
+
+    def test_slice_is_a_table_coded_on_its_own(self, tmp_path):
+        path = tmp_path / "xy.csv"
+        path.write_text("x,y\n0,0\n0,1\n1,0\n1,1\n1,1\n")
+        samples = read_csv(str(path))
+        assert samples.codes == (0, 1, 2, 3, 3)
+        tail = samples[2:]
+        assert (tail.distinct, tail.codes) == ((("1", "0"), ("1", "1")), (0, 1, 1))
+        assert tail == list(samples)[2:] and tail == read_csv(str(path))[2:]
+        assert samples[::2] == [samples[0], samples[2], samples[4]]
+        assert samples != tail and samples[:0] == []
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+        samples = read_csv(str(path))
+        assert samples.header == ("a", "b") and samples == [{"a": "1", "b": "2"}]
+        assert categorical(samples).measure({"a": "1"}) == 1.0
+        out = tmp_path / "out.csv"
+        write_csv(str(out), samples)
+        assert out.read_bytes() == b"a,b\r\n1,2\r\n"
 
     def test_table_is_an_immutable_sequence_of_events(self, tmp_path):
         path = tmp_path / "xy.csv"
@@ -249,6 +305,16 @@ class TestMain:
             "0.8325462173856037",
             "0.778875",
         ]
+
+    def test_csv_with_byte_order_mark(self, capsys, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+        path = tmp_path / "bom.wt"
+        path.write_text(
+            f'(define d (categorical (read-csv "{data.as_posix()}")))\n(measure d {{:a "1"}})\n'
+        )
+        code, out, err = run_main(capsys, "run", str(path))
+        assert (code, err, out.strip().splitlines()[-1:]) == (0, "", ["1.0"])
 
     def test_unhashable_event_value_measures_zero(self, capsys, tmp_path):
         path = tmp_path / "unhashable.wt"
