@@ -254,22 +254,25 @@ def _id(
 ) -> Form | Fail:
     """ID on the subgraph of g over v, walked in place. p_form is the plain
     joint over v until step 7 rewrites it, so it is g's own joint while v is
-    all of g."""
-    # 1: no intervention left; marginalize the current distribution
+    all of g. Steps 2 and 3 are idempotent, so they rewrite this frame
+    instead of recursing into one that would only repeat their walks."""
+    # 2: restrict to the ancestors of the effect, which are all of G[An(y)]
+    if x:
+        anc = _reach(g._parent_sets, y, keep=v)
+        if len(anc) < len(v):
+            v, p_form, x = frozenset(anc), _marginal(p_form, v - anc), x & anc
+
+    # 1: no intervention left, before any walk or after step 2; marginalize
+    #    the current distribution
     if not x:
         return _marginal(p_form, v - y)
 
-    # 2: restrict to the ancestors of the effect
-    anc = _reach(g._parent_sets, y, keep=v)
-    if len(anc) < len(v):
-        anc = frozenset(anc)
-        return _id(y, x & anc, _marginal(p_form, v - anc), anc, g)
-
     # 3: grow the intervention with vertices that no longer reach the effect
-    #    once the intervention's incoming edges are cut
-    w = (v - x) - _reach(g._parent_sets, y, x, v)
-    if w:
-        return _id(y, x | w, p_form, v, g)
+    #    once the intervention's incoming edges are cut; y is always reached,
+    #    so only v - x - y can grow it. The grown x cuts no edge the walk
+    #    used, so a second pass would find nothing
+    if v - x - y:
+        x = x | (v - _reach(g._parent_sets, y, x, v))
 
     # 4: factor across the confounded components of the do-removed subgraph
     components = _c_components(g, v - x)
@@ -282,10 +285,14 @@ def _id(
             factors.append(r)
         return sum_over(product(factors), v - (y | x))
 
+    # 6 (before 5): s = v - x stands alone in G[v] exactly when no member has
+    #    a sibling in x, and then step 5 cannot fire; chain-factorize it
     s = components[0]
-    v_components = _c_components(g, v)
+    if all(x.isdisjoint(g._siblings.get(u, ())) for u in s):
+        return sum_over(product(_chain_factors(p_form, s, v, g)), s - y)
 
     # 5: the whole graph is one confounded component; a hedge blocks the query
+    v_components = _c_components(g, v)
     if len(v_components) == 1:
         hedge = Hedge(forest=subgraph(g, v), subforest=subgraph(g, s), witness=y)
         message = (
@@ -293,10 +300,6 @@ def _id(
             f"identifiable: hedge over {sorted(v)} with confounded subforest {sorted(s)}"
         )
         return Fail(hedge, message)
-
-    # 6: the component stands alone; truncate by chain factorization
-    if s in v_components:
-        return sum_over(product(_chain_factors(p_form, s, v, g)), s - y)
 
     # 7: recurse into the enclosing component with a rewritten distribution
     s_prime = next(c for c in v_components if s <= c)

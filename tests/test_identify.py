@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import random
 
@@ -21,7 +22,7 @@ from whittemore import (
 )
 from whittemore.errors import QueryError, UnknownVariableError
 from whittemore.formula import form_key
-from whittemore.model import Variable
+from whittemore.model import Variable, _c_components, _reach, latent_projection
 from whittemore.oracle import DiscreteSCM, TableMechanism, exact_joint, intervene
 
 
@@ -171,17 +172,19 @@ class TestMarkovianNeverFails:
                 assert isinstance(result, Formula)
 
 
-def corpus_queries(count=300):
-    """Seeded semi-Markovian identification problems of 3-9 vertices.
+def corpus_queries(count=300, seed="identify-corpus", max_vertices=9, with_given=False):
+    """Seeded semi-Markovian identification problems of 3 to max_vertices vertices.
 
     Names are shuffled against topological position, so that name order is
     not a topological order. Odd queries bind their do-variables to values;
-    every third query hides 1-2 vertices through its data signature.
+    every third query hides 1-2 vertices through its data signature. With
+    with_given, each query also conditions on 0-2 of the variables it does
+    not hide; without it no draw is added, so the pinned corpus is unchanged.
     """
-    rng = random.Random("identify-corpus")
+    rng = random.Random(seed)
     for i in range(count):
-        n = rng.randint(3, 9)
-        names = list("abcdefghi"[:n])
+        n = rng.randint(3, max_vertices)
+        names = list("abcdefghijkl"[:n])
         rng.shuffle(names)  # names[j] sits at topological position j
         dag = {v: [names[k] for k in range(j) if rng.random() < 0.4] for j, v in enumerate(names)}
         pairs = [
@@ -194,10 +197,15 @@ def corpus_queries(count=300):
         picked = rng.sample(names, effect_count + do_count)
         effect, do = picked[:effect_count], picked[effect_count:]
         rest = [v for v in names if v not in picked]
+        given = rng.sample(rest, min(len(rest), rng.randint(0, 2))) if with_given else []
+        rest = [v for v in rest if v not in given]
         hidden = rng.sample(rest, min(len(rest), rng.randint(1, 2))) if i % 3 == 2 else []
         model = make_model(dag, pairs)
         data = Data([v for v in names if v not in hidden])
-        query = make_query(effect, do={v: 1 for v in do} if i % 2 else do)
+        if i % 2:
+            query = make_query(effect, do={v: 1 for v in do}, given={v: 0 for v in given})
+        else:
+            query = make_query(effect, do=do, given=given or None)
         yield model, data, query
 
 
@@ -220,17 +228,73 @@ def render_result(result):
     ))
 
 
+def given_corpus_queries():
+    """1,000 corpus queries of 3-12 vertices that condition on 0-2 variables."""
+    return corpus_queries(1000, "identify-corpus-given", max_vertices=12, with_given=True)
+
+
+def corpus_digest(queries):
+    rendering = "\n".join(
+        render_result(identify(model, data, query)) for model, data, query in queries
+    )
+    return hashlib.sha256(rendering.encode()).hexdigest()
+
+
 class TestCorpusDigest:
     # SHA-256 of the rendered results of the 300 corpus queries; a change to
     # identify that alters any formula, hedge or message changes it
     DIGEST = "8a8b100700a838658782a74551ccf9ab5025925fb462938b4aebce42395198a6"
+    # the same for the conditional corpus: 632 formulas and 368 hedges
+    GIVEN_DIGEST = "e0bf318b243b5e2055f33b4752ae8ccc9c3ece4ce9498944103951b3a7af7fdb"
 
     def test_corpus_digest(self):
-        rendering = "\n".join(
-            render_result(identify(model, data, query))
-            for model, data, query in corpus_queries()
-        )
-        assert hashlib.sha256(rendering.encode()).hexdigest() == self.DIGEST
+        assert corpus_digest(corpus_queries()) == self.DIGEST
+
+    def test_given_corpus_digest(self):
+        assert corpus_digest(given_corpus_queries()) == self.GIVEN_DIGEST
+
+
+def corpus_graphs():
+    """The graphs of the conditional corpus, projected onto their data."""
+    for model, data, query in given_corpus_queries():
+        g = latent_projection(model, data.joint_set)
+        yield g, frozenset(query.effect) | frozenset(query.given), frozenset(query.do)
+
+
+class TestIdentifyShortcuts:
+    """The graph facts that let the recursion apply steps 2 and 3 in place and
+    decide step 6 from the siblings of the component."""
+
+    def test_steps_two_and_three_are_idempotent(self):
+        rng = random.Random("idempotent")
+        for g, y, x in corpus_graphs():
+            v = y | frozenset(rng.sample(sorted(g.vertices), rng.randint(0, len(g.vertices))))
+            # step 2 once: v' = An(y) within v, which is its own ancestral set
+            anc = frozenset(_reach(g._parent_sets, y, keep=v))
+            assert _reach(g._parent_sets, y, keep=anc) == anc
+            # step 3 once, then again after x grows by what it found
+            x = x & anc
+            w = (anc - x) - _reach(g._parent_sets, y, x, anc)
+            assert not (anc - (x | w)) - _reach(g._parent_sets, y, x | w, anc)
+
+    def test_step_six_from_siblings(self):
+        rng = random.Random("step-six")
+        seen = set()
+        for g, _, _ in corpus_graphs():
+            vertices = sorted(g.vertices)
+            u = frozenset(rng.sample(vertices, rng.randint(1, len(vertices))))
+            # s is a c-component of G[s]: one of G[u] for a random u
+            s = rng.choice(_c_components(g, u))
+            rest = sorted(g.vertices - s)
+            if not rest:
+                continue
+            x = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
+            v = s | x
+            assert _c_components(g, v - x) == [s]
+            alone = all(x.isdisjoint(g._siblings.get(w, ())) for w in s)
+            assert (s in _c_components(g, v)) == alone
+            seen.add(alone)
+        assert seen == {True, False}
 
 
 def napkin():
@@ -324,3 +388,38 @@ class TestModelsBuilt:
         result, built = self.count_builds(monkeypatch, bow)
         assert isinstance(result, Fail)
         assert built == 2
+
+
+class TestFramesMade:
+    """Steps 2 and 3 rewrite the frame they run in, so only step 4's
+    components and step 7 open an _id frame. Step 6 is decided without the
+    c-components of G[v], which are computed only for steps 5 and 7."""
+
+    def count_frames(self, monkeypatch, model, query):
+        module = importlib.import_module("whittemore.identify")
+        counts = {"_id": 0, "_c_components": 0}
+        for name in counts:
+            fn = getattr(module, name)
+
+            def counted(*args, name=name, fn=fn):
+                counts[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        result = identify(model, query)
+        assert isinstance(result, Formula)
+        return counts["_id"], counts["_c_components"]
+
+    def test_markovian_two_parent_chain(self, monkeypatch):
+        names = [f"v{i:02d}" for i in range(12)]
+        model = make_model({v: names[max(0, i - 2):i] for i, v in enumerate(names)})
+        query = make_query(["v11"], do=["v03"])
+        assert self.count_frames(monkeypatch, model, query) == (12, 11)
+
+    def test_long_front_door_chain(self, monkeypatch):
+        query = make_query(["y"], do=["x"])
+        assert self.count_frames(monkeypatch, front_door_chain(16), query) == (19, 19)
+
+    def test_napkin(self, monkeypatch):
+        query = make_query(["y"], do=["x"])
+        assert self.count_frames(monkeypatch, napkin(), query) == (2, 3)
