@@ -276,6 +276,18 @@ class SampleTable(Sequence):
         object.__setattr__(self, "distinct", tuple(index))
         object.__setattr__(self, "codes", codes)
 
+    @classmethod
+    def coded(
+        cls, header: Sequence[Variable], distinct: tuple[tuple, ...], codes: tuple[int, ...]
+    ) -> "SampleTable":
+        """A table of rows already coded: `distinct` in first-seen order and
+        equal rows under one code, each code an index into it."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "header", tuple(header))
+        object.__setattr__(table, "distinct", distinct)
+        object.__setattr__(table, "codes", codes)
+        return table
+
     def __setattr__(self, name, value):
         raise AttributeError("SampleTable is immutable")
 

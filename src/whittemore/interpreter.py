@@ -13,8 +13,10 @@ here too.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import sys
+from collections import defaultdict
 from collections.abc import Callable, Container, Mapping, Sequence
 from typing import Any
 
@@ -35,6 +37,7 @@ from .errors import (
     RedefinitionError,
     UnboundSymbolError,
     UnknownVariableError,
+    VariableNameError,
     WhittemoreError,
 )
 from .identify import Query, identify, make_query
@@ -107,6 +110,14 @@ def read_csv(path: str | os.PathLike) -> SampleTable:
     byte-order mark at the start of the file is skipped. The table is an
     immutable sequence of `{Variable: cell}` maps; call `list` on it for a
     vector that can be changed.
+
+    The body is read once, and each physical line gets a code before any is
+    split, so a repeated line is parsed once. When every distinct line holds
+    a whole record, the line codes are the table's codes, merged where two
+    lines give the same row (such as `1,2` with and without a line break).
+    When some quoted cell runs past the end of its line, or a line does not
+    parse, csv reads the coded lines in file order, record by record. The
+    file itself is never read twice, so a pipe works.
     """
     _check_path(path, "read-csv")
     try:
@@ -116,18 +127,24 @@ def read_csv(path: str | os.PathLike) -> SampleTable:
     with handle:
         reader = csv.reader(handle)
         try:
-            first = next(reader, [])
-            if not any(cell.strip() for cell in first):
-                raise DataFormatError(f"{path}:1: missing header row")
-            header = tuple([Variable(name) for name in first])
-            if len(set(header)) != len(header):
-                raise DataFormatError(f"{path}:1: duplicate column name")
+            header = _header(path, next(reader, []))
             line = reader.line_num + 1
-            table = SampleTable(header, reader)
+            # a line seen for the first time gets the next code
+            index: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+            codes = tuple(map(index.__getitem__, handle))
+            lines = tuple(index)
+            del index  # freed before parsing, so that it adds nothing to the peak
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    table = _whole_lines(header, lines, codes)
+    if table is None:
+        reader = csv.reader(map(lines.__getitem__, codes))
+        try:
+            table = SampleTable(header, reader)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{line - 1 + reader.line_num}: {exc}") from None
     if any(len(row) != len(header) for row in table.distinct):
         # find the first short or long row, and the line it starts on: one
         # line, plus one for each line break inside its quoted cells
@@ -138,6 +155,47 @@ def read_csv(path: str | os.PathLike) -> SampleTable:
                 )
             line += 1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
     return table
+
+
+def _header(path: str | os.PathLike, cells: list[str]) -> tuple[Variable, ...]:
+    """The header row's cells as variables, each checked."""
+    if not any(cell.strip() for cell in cells):
+        raise DataFormatError(f"{path}:1: missing header row")
+    header = []
+    for column, cell in enumerate(cells, 1):
+        try:
+            header.append(Variable(cell))
+        except VariableNameError as exc:
+            raise DataFormatError(f"{path}:1: column {column}: {exc}") from None
+    if len(set(header)) != len(header):
+        raise DataFormatError(f"{path}:1: duplicate column name")
+    return tuple(header)
+
+
+def _whole_lines(
+    header: tuple[Variable, ...], lines: tuple[str, ...], codes: tuple[int, ...]
+) -> SampleTable | None:
+    """The table of the coded lines, parsed one distinct line each, or None
+    if some distinct line does not hold a whole record or does not parse.
+
+    A record that runs past its line makes csv read more lines than it
+    gives records, unless the last distinct line is the one left open; then
+    a cell of its record holds that line's break.
+    """
+    reader = csv.reader(lines)
+    rows: defaultdict[tuple, int] = defaultdict(itertools.count().__next__)
+    try:
+        recode = list(map(rows.__getitem__, map(tuple, reader)))
+    except csv.Error:
+        return None
+    if reader.line_num != len(recode):
+        return None
+    distinct = tuple(rows)
+    if recode and any("\r" in c or "\n" in c for c in distinct[recode[-1]]):
+        return None
+    if len(distinct) < len(recode):
+        codes = tuple(map(recode.__getitem__, codes))
+    return SampleTable.coded(header, distinct, codes)
 
 
 def _check_path(path: Any, op: str) -> None:

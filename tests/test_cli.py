@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -130,6 +131,69 @@ class TestReadCsv:
         with pytest.raises(TypeError):
             samples[0] = {}
         assert not hasattr(samples, "append")
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("a,,b", "column 2: variable name must be non-empty"),
+            (" ,b", "column 1: invalid variable name: ' '"),
+            ("a,a b", "column 2: invalid variable name: 'a b'"),
+        ],
+        ids=["empty", "blank", "space"],
+    )
+    def test_header_cell_that_is_no_name(self, tmp_path, capsys, header, message):
+        path = tmp_path / "header.csv"
+        path.write_text(header + "\n1,2,3\n")
+        with pytest.raises(DataFormatError) as err:
+            read_csv(str(path))
+        assert str(err.value) == f"{path}:1: {message}"
+        script = tmp_path / "read.wt"
+        script.write_text(f'(read-csv "{path}")\n')
+        assert main(["run", str(script)]) == 1
+        assert capsys.readouterr().err == f"{script}: 1:1: {path}:1: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, distinct",
+        [
+            ('a,b\n1,2\n3,"x\n1,2\n', (("1", "2"), ("3", "x\n1,2\n"))),
+            ('a,b\r\n1,2\r\n3,"x\r\n1,2\r\n1,2', (("1", "2"), ("3", "x\r\n1,2\r\n1,2"))),
+            ('a,b\n1,2\n3,"x', (("1", "2"), ("3", "x"))),
+        ],
+        ids=["lf", "crlf-unterminated", "last-line"],
+    )
+    def test_quote_left_open_takes_the_rest_of_the_file(self, tmp_path, text, distinct):
+        # an open quote takes every line after it, even one that repeats a record
+        path = tmp_path / "open.csv"
+        path.write_bytes(text.encode())
+        table = read_csv(str(path))
+        assert (table.distinct, table.codes) == (distinct, (0, 1))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize(
+        "body", ["1,2\n3,4\n1,2\n", '1,2\n"x\ny",2\n1,2\n'], ids=["whole-lines", "multi-line-record"]
+    )
+    def test_pipe_reads_as_the_file(self, tmp_path, body):
+        # a pipe can be read only once, so no path may seek or read it twice
+        text = "a,b\n" + body * 50
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text)
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "w") as handle:
+                handle.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            table = read_csv(str(pipe))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        want = read_csv(str(plain))
+        assert (table.header, table.distinct, table.codes) == (want.header, want.distinct, want.codes)
+        assert len(table) == 150
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "blank.csv"

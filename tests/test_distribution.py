@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import math
 import tempfile
@@ -28,7 +29,7 @@ from whittemore import (
     signature,
     sum_over,
 )
-from whittemore.distribution import _Evaluator
+from whittemore.distribution import SampleTable, _Evaluator
 from whittemore.errors import (
     DataFormatError,
     EstimationError,
@@ -570,22 +571,36 @@ _CELLS = st.text(alphabet='ab,"\n\r ', max_size=3)
 @st.composite
 def _csv_files(draw):
     """CSV text with 1-6 columns in any order, repeated rows, and cells
-    holding commas, quotes and line breaks, plus its header and rows."""
+    holding commas, quotes and line breaks, plus its header and rows.
+
+    The third part is the layout `_write` uses: the line terminators and
+    quoting styles it takes in turn (so one kind for the whole file, or CR
+    LF, LF and CR mixed), and whether the last line is left unterminated."""
     header = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6, unique=True))
     pool = draw(st.lists(st.tuples(*[_CELLS] * len(header)), min_size=1, max_size=5))
     rows = draw(st.lists(st.sampled_from(pool), max_size=20))
-    terminator = draw(st.sampled_from(["\r\n", "\n"]))
-    return header, rows, terminator
+    terminators = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]), min_size=1, max_size=3))
+    quotings = draw(
+        st.lists(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]), min_size=1, max_size=2)
+    )
+    return header, rows, (terminators, quotings, draw(st.booleans()))
 
 
-def _write(directory, header, rows, terminator) -> str:
+def _write(directory, header, rows, layout) -> str:
+    terminators, quotings, unterminated = layout
+    lines = []
+    for i, row in enumerate([header, *rows]):
+        buffer = io.StringIO()
+        # a CR LF writer quotes every cell that holds either line break character
+        csv.writer(buffer, lineterminator="\r\n", quoting=quotings[i % len(quotings)]).writerow(row)
+        text = buffer.getvalue()[:-2]
+        # a blank line ends in CR LF: a lone LF after a CR would join the
+        # line before, and a blank line with no terminator would be no line
+        lines.append([text, terminators[i % len(terminators)] if text else "\r\n"])
+    if unterminated and lines[-1][0]:
+        lines[-1][1] = ""
     path = Path(directory) / "samples.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        # the writer quotes only the line break characters of its terminator
-        quoting = csv.QUOTE_MINIMAL if terminator == "\r\n" else csv.QUOTE_ALL
-        writer = csv.writer(handle, lineterminator=terminator, quoting=quoting)
-        writer.writerow(header)
-        writer.writerows(rows)
+    path.write_bytes("".join(text + end for text, end in lines).encode("utf-8"))
     return str(path)
 
 
@@ -614,6 +629,19 @@ class TestSampleTable:
         for v, values in want.support.items():
             for value in values:
                 assert got.measure({v: value}) == want.measure({v: value})
+
+    @given(_csv_files())
+    def test_table_is_the_table_of_the_csv_records(self, csv_file):
+        # the reference codes csv.reader's records in file order, one by one
+        with tempfile.TemporaryDirectory() as directory:
+            path = _write(directory, *csv_file)
+            table = read_csv(path)
+            with open(path, newline="", encoding="utf-8") as handle:
+                reader = csv.reader(handle)
+                want = SampleTable(next(reader), reader)
+        assert table.header == want.header
+        assert table.distinct == want.distinct
+        assert table.codes == want.codes
 
     @given(_csv_files(), st.integers(min_value=0), st.data())
     def test_ragged_row_is_reported_at_its_first_line(self, csv_file, at, data):

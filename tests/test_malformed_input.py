@@ -175,3 +175,24 @@ def test_unreadable_csv_in_a_script_exits_1(bad_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+_BIG = "x" * 200_000
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("a,b\n" + "1,2\n" * 10_000 + "3," + _BIG + "\n4,5\n", 10_002),
+        ("a,b\n1,2\n3," + _BIG + "\n1,2\n3," + _BIG + "\n", 3),
+        ('a,b\n"x\ny",1\n1,2\n3,' + _BIG + "\n", 5),
+    ],
+    ids=["after-repeated-lines", "line-that-repeats", "after-multi-line-record"],
+)
+def test_oversized_field_is_reported_at_its_first_line(text, line, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as err:
+        read_csv(str(path))
+    limit = csv.field_size_limit()
+    assert str(err.value) == f"{path}:{line}: field larger than field limit ({limit})"
