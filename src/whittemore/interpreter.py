@@ -117,7 +117,9 @@ def read_csv(path: str | os.PathLike) -> SampleTable:
     lines give the same row (such as `1,2` with and without a line break).
     When some quoted cell runs past the end of its line, or a line does not
     parse, csv reads the coded lines in file order, record by record. The
-    file itself is never read twice, so a pipe works.
+    file itself is never read twice, so a pipe works. As the body is decoded
+    before any of its lines is parsed, a byte that is not UTF-8 is reported
+    ahead of a csv error on an earlier line.
     """
     _check_path(path, "read-csv")
     try:
@@ -183,19 +185,20 @@ def _whole_lines(
     a cell of its record holds that line's break.
     """
     reader = csv.reader(lines)
-    rows: defaultdict[tuple, int] = defaultdict(itertools.count().__next__)
     try:
-        recode = list(map(rows.__getitem__, map(tuple, reader)))
+        rows = tuple(map(tuple, reader))
     except csv.Error:
         return None
-    if reader.line_num != len(recode):
+    if reader.line_num != len(rows):
         return None
-    distinct = tuple(rows)
-    if recode and any("\r" in c or "\n" in c for c in distinct[recode[-1]]):
+    if rows and any("\r" in c or "\n" in c for c in rows[-1]):
         return None
-    if len(distinct) < len(recode):
-        codes = tuple(map(recode.__getitem__, codes))
-    return SampleTable.coded(header, distinct, codes)
+    if len(dict.fromkeys(rows)) < len(rows):
+        # two lines give one row: code the rows, and recode the lines by them
+        index: defaultdict[tuple, int] = defaultdict(itertools.count().__next__)
+        recode = list(map(index.__getitem__, rows))
+        rows, codes = tuple(index), tuple(map(recode.__getitem__, codes))
+    return SampleTable.coded(header, rows, codes)
 
 
 def _check_path(path: Any, op: str) -> None:

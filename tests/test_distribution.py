@@ -593,10 +593,11 @@ def _write(directory, header, rows, layout) -> str:
         buffer = io.StringIO()
         # a CR LF writer quotes every cell that holds either line break character
         csv.writer(buffer, lineterminator="\r\n", quoting=quotings[i % len(quotings)]).writerow(row)
-        text = buffer.getvalue()[:-2]
-        # a blank line ends in CR LF: a lone LF after a CR would join the
-        # line before, and a blank line with no terminator would be no line
-        lines.append([text, terminators[i % len(terminators)] if text else "\r\n"])
+        text, end = buffer.getvalue()[:-2], terminators[i % len(terminators)]
+        # a blank LF line right after a CR would join that line: it ends in CR LF
+        if not text and end == "\n" and lines and lines[-1][1] == "\r":
+            end = "\r\n"
+        lines.append([text, end])
     if unterminated and lines[-1][0]:
         lines[-1][1] = ""
     path = Path(directory) / "samples.csv"

@@ -196,3 +196,21 @@ def test_oversized_field_is_reported_at_its_first_line(text, line, tmp_path):
         read_csv(str(path))
     limit = csv.field_size_limit()
     assert str(err.value) == f"{path}:{line}: field larger than field limit ({limit})"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n3," + _BIG + "\n" + "4,5\n" * 5_000, "not UTF-8 text"),
+        ("a," + _BIG + "\n" + "4,5\n" * 5_000, ":1: field larger than field limit"),
+    ],
+    ids=["in-the-body", "in-the-header"],
+)
+def test_undecodable_body_is_reported_before_its_field_errors(text, message, tmp_path):
+    # the header is parsed first, then the body is decoded in full before any
+    # of its lines is parsed: the bad byte lies 20 KB past the long field
+    path = tmp_path / "wide.csv"
+    path.write_bytes(text.encode() + b"\xff,3\n")
+    with pytest.raises(DataFormatError) as err:
+        read_csv(str(path))
+    assert message in str(err.value)
