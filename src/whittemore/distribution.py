@@ -54,8 +54,8 @@ class CategoricalDistribution:
         self._support = dict(support)
         self._cells = dict(cells)
         self._total = total
-        # marginal tables by variable positions, filled on first use
-        self._tables: dict[tuple[int, ...], dict[tuple, float]] = {}
+        # marginal and conditional tables by their variable sets, filled on first use
+        self._tables: dict[tuple[frozenset, frozenset], tuple[tuple, dict[tuple, float]]] = {}
 
     @classmethod
     def from_samples(cls, samples: Iterable[Mapping[Any, Any]]) -> "CategoricalDistribution":
@@ -157,32 +157,51 @@ class CategoricalDistribution:
     def measure(self, event: Mapping[Any, Any]) -> float:
         """Probability of the event; unmentioned variables are marginalized."""
         ev = as_event(event)
-        names, table = self._marginal(ev)
+        names, table = self._table(frozenset(ev))
         try:
             return table.get(tuple([ev[v] for v in names]), 0.0)
         except TypeError:  # an unhashable value, which no cell can hold
             return 0.0
 
-    def _marginal(self, variables) -> tuple[tuple[Variable, ...], dict[tuple, float]]:
-        """The variables in distribution order, and their marginal table.
+    def _table(self, variables: frozenset, given: frozenset = frozenset()) -> tuple:
+        """The variables in distribution order, and their table.
 
-        The table maps each value tuple to its mass: the `math.fsum` of the
-        matching cells over the total. It is built in one pass over the cells
-        on first use and then kept, since the cells never change.
+        The marginal table maps each value tuple to its mass: the `math.fsum`
+        of the matching cells over the total. With `given`, a subset, the
+        table maps each key of the marginal table whose `given` part has
+        positive mass to the quotient of the two masses. A table is built on
+        first use and then kept, since the cells never change.
         """
-        positions = tuple(i for i, v in enumerate(self._variables) if v in variables)
-        if len(positions) != len(variables):
-            unknown = set(variables) - set(self._variables)
-            raise UnknownVariableError(f"not in distribution: {sorted(unknown)}")
-        table = self._tables.get(positions)
-        if table is None:
-            groups: dict[tuple, list] = {}
-            for key, weight in self._cells.items():
-                groups.setdefault(tuple([key[i] for i in positions]), []).append(weight)
-            table = self._tables[positions] = {
-                values: math.fsum(weights) / self._total for values, weights in groups.items()
-            }
-        return tuple([self._variables[i] for i in positions]), table
+        found = self._tables.get((variables, given))
+        if found is None:
+            if given:
+                names, masses = self._table(variables)
+                given_names, denoms = self._table(given)
+                at = [names.index(v) for v in given_names]
+                table = {}
+                for values, numer in masses.items():
+                    denom = denoms[tuple([values[i] for i in at])]
+                    if denom != 0.0:
+                        table[values] = numer / denom
+            else:
+                positions = [i for i, v in enumerate(self._variables) if v in variables]
+                if len(positions) != len(variables):
+                    unknown = set(variables) - set(self._variables)
+                    raise UnknownVariableError(f"not in distribution: {sorted(unknown)}")
+                groups: dict[tuple, list] = {}
+                for key, weight in self._cells.items():
+                    groups.setdefault(tuple([key[i] for i in positions]), []).append(weight)
+                table = {values: math.fsum(ws) / self._total for values, ws in groups.items()}
+                names = tuple([self._variables[i] for i in positions])
+            found = self._tables[variables, given] = names, table
+        return found
+
+    def _supports(self, names: Sequence[Variable]) -> list[tuple]:
+        """The support of each of `names`, in order."""
+        try:
+            return [self._support[v] for v in names]
+        except KeyError as exc:
+            raise UnknownVariableError(f"not in distribution: {exc.args[0]!r}") from None
 
     def estimate(self, target: Formula | Query):
         """Apply a formula (or query) to this distribution.
@@ -209,11 +228,17 @@ class CategoricalDistribution:
             return evaluate(self, target)
         evaluator = _Evaluator(self)
         run, env, cells = evaluator.compile(target.form), dict(target.bindings), {}
-        for values in evaluator.assignments(open_vars):
+        for values in itertools.product(*self._supports(open_vars)):
             env.update(zip(open_vars, values))
             cells[values] = run(env)
         mass = math.fsum(cells.values())
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
+            if evaluator.empty_stratum is not None:
+                stratum = ", ".join(f"{v!r} = {value!r}" for v, value in evaluator.empty_stratum)
+                raise EstimationError(
+                    f"estimated distribution over {list(open_vars)} is undefined: "
+                    f"the data have no mass where {stratum}"
+                )
             raise EstimationError(
                 f"estimated distribution over {list(open_vars)} has total mass {mass!r}; "
                 "the formula does not define a normalized distribution here"
@@ -354,15 +379,23 @@ class _Evaluator:
     """Formula evaluation against one categorical distribution, by compilation.
 
     `compile` turns each form node into a closure from an environment to a
-    float. Equal P(·) terms share one closure, which resolves its marginal
-    tables on its first call, so a summed assignment costs key builds and
-    dict lookups. `assignments` enumerates the joint values of a set of
-    variables, both for a Sum and for the cells of an estimated distribution.
+    float. Equal P(·) terms share one closure, which resolves its tables on
+    its first call; a term then costs a key build and a dict lookup, into the
+    distribution's memoised quotients for a conditional. A Sum is a loop nest
+    (`_sum`) that evaluates each body factor once per value of the summed
+    variables it reads.
+
+    `zero_conditionals` counts the 0/0 conditionals evaluated. A factor kept
+    out of inner loops is evaluated, and counted, once per value of the
+    variables it reads, so a sum's count can be lower than a flat walk's.
+    `empty_stratum` holds the first one's denominator as (variable, value)
+    pairs.
     """
 
     def __init__(self, dist: CategoricalDistribution):
         self.dist = dist
         self.zero_conditionals = 0  # diagnostic: 0/0 conditionals hit
+        self.empty_stratum: tuple | None = None
         self._probs: dict[Prob, Callable] = {}
 
     def run(self, form: Form, env: Mapping[Variable, Any]) -> float:
@@ -386,36 +419,59 @@ class _Evaluator:
                 run = self._probs[form] = self._prob(form)
             return run
         if isinstance(form, Sum):
-            body, names = self._compile(form.body), sorted(form.sub)
-
-            def run_sum(env):
-                inner = dict(env)
-                total = 0.0  # added in order, not with sum(), which compensates on 3.12+
-                for values in self.assignments(names):
-                    inner.update(zip(names, values))
-                    total += body(inner)
-                return total
-            return run_sum
+            return self._sum(form)
         if isinstance(form, Product):
             factors = [self._compile(factor) for factor in form.factors]
-
-            def run_product(env):
-                out = 1.0
-                for factor in factors:
-                    out *= factor(env)
-                return out
-            return run_product
+            return lambda env: math.prod([factor(env) for factor in factors], start=1.0)
         if isinstance(form, Fraction):
             numer, denom = self._compile(form.numer), self._compile(form.denom)
 
             def run_fraction(env):
                 d = denom(env)
                 if d == 0.0:
-                    self.zero_conditionals += 1
+                    names = sorted(free_variables(form.denom) & env.keys())
+                    self._zero(names, [env[v] for v in names])
                     return 0.0
                 return numer(env) / d
             return run_fraction
         raise EstimationError(f"cannot evaluate {type(form).__name__}")
+
+    def _sum(self, form: Sum):
+        """A loop nest over the summed variables in sorted order, the order of
+        `itertools.product`. Each body factor is evaluated in the loop of the
+        innermost summed variable it reads. The innermost loop multiplies the
+        stored values in factor order from 1.0 and adds in order (not with
+        `sum()`, which compensates on 3.12+), so every value is the flat walk's."""
+        names = sorted(form.sub)
+        factors = form.body.factors if isinstance(form.body, Product) else (form.body,)
+        runs = [self._compile(factor) for factor in factors]
+        # stages[d]: the factors evaluated once names[:d] are bound
+        stages = [[] for _ in range(len(names) + 1)]
+        for i, factor in enumerate(factors):
+            read = free_variables(factor) & form.sub
+            stages[max([names.index(v) + 1 for v in read], default=0)].append(i)
+        values, supports = [0.0] * len(factors), None
+
+        def nest(env, depth, total):
+            name, inner, deeper = names[depth], stages[depth + 1], depth + 1 < len(names)
+            for value in supports[depth]:
+                env[name] = value
+                for i in inner:
+                    values[i] = runs[i](env)
+                if deeper:
+                    total = nest(env, depth + 1, total)
+                else:
+                    total += math.prod(values, start=1.0)
+            return total
+
+        def run_sum(env):
+            nonlocal supports
+            if supports is None:
+                supports = self.dist._supports(names)
+            for i in stages[0]:
+                values[i] = runs[i](env)
+            return nest(dict(env), 0, 0.0) if names else 0.0 + math.prod(values, start=1.0)
+        return run_sum
 
     def _prob(self, form: Prob):
         term = None
@@ -424,41 +480,42 @@ class _Evaluator:
             nonlocal term
             if term is None:
                 term = self._resolve(form, env)
-            key, table, given_key, given = term
-            if given is not None:
+            key, table, given_names, given = term
+            try:
+                value = table.get(key(env))
+            except TypeError:  # an unhashable value, which no cell can hold
+                value = None
+            if value is not None:
+                return value
+            if given is not None:  # no quotient: an empty stratum, or no such cell
+                values = tuple([env[v] for v in given_names])
                 try:
-                    denom = given.get(given_key(env), 0.0)
-                except TypeError:  # an unhashable value, which no cell can hold
+                    denom = given.get(values, 0.0)
+                except TypeError:
                     denom = 0.0
                 if denom == 0.0:
-                    self.zero_conditionals += 1
-                    return 0.0
-            try:
-                numer = table.get(key(env), 0.0)
-            except TypeError:
-                return 0.0
-            return numer if given is None else numer / denom
+                    self._zero(given_names, values)
+            return 0.0
         return run_prob
 
     def _resolve(self, form: Prob, env: Mapping[Variable, Any]) -> tuple:
-        """The key getter and marginal table of P(p, given), then those of
-        P(given) or None. An unbound variable is reported before an unknown one."""
+        """The key getter of P(p, given), the table it reads (the marginal,
+        or for a conditional the quotients), and the given variables with
+        their marginal table or None. An unbound variable is reported before
+        an unknown one."""
         joint = form.p | form.given
         unbound = sorted(joint - env.keys())
         if unbound:
             raise _unbound(unbound[0])
-        names, table = self.dist._marginal(joint)
-        if not form.given:
-            return _getter(names), table, None, None
-        given_names, given = self.dist._marginal(form.given)
-        return _getter(names), table, _getter(given_names), given
+        names, table = self.dist._table(joint, form.given)
+        given_names, given = self.dist._table(form.given) if form.given else ((), None)
+        return _getter(names), table, given_names, given
 
-    def assignments(self, names: Sequence[Variable]):
-        """Every joint value of `names`, in support order."""
-        for v in names:
-            if v not in self.dist._support:
-                raise UnknownVariableError(f"not in distribution: {v!r}")
-        return itertools.product(*[self.dist._support[v] for v in names])
+    def _zero(self, names: Sequence[Variable], values: Sequence[Any]) -> None:
+        """Count a 0/0 conditional, and keep the first one's stratum."""
+        self.zero_conditionals += 1
+        if self.empty_stratum is None:
+            self.empty_stratum = tuple(zip(names, values))
 
 
 def _getter(names: tuple[Variable, ...]):

@@ -201,6 +201,16 @@ def _freeze(expr: Expr):
     return ("apply", expr.op.name, tuple(_freeze(x) for x in expr.args))
 
 
+def _unique(items, starts: list[_Token], message: str) -> None:
+    """Fail at the first item equal to an earlier one."""
+    seen = set()
+    for x, tok in zip(items, starts):
+        key = _freeze(x)
+        if key in seen:
+            raise ParseError(message, tok.line, tok.col)
+        seen.add(key)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], end_line: int, end_col: int):
         self.tokens = tokens
@@ -244,38 +254,29 @@ class _Parser:
         if kind == "(":
             return self._application(tok)
         if kind == "[":
-            return VectorLit(tuple(self._sequence("]", tok)), tok.line, tok.col)
+            return VectorLit(tuple(self._sequence("]", tok)[0]), tok.line, tok.col)
         if kind == "#{":
-            items = tuple(self._sequence("}", tok))
-            seen = set()
-            for x in items:
-                key = _freeze(x)
-                if key in seen:
-                    raise ParseError("duplicate set element", tok.line, tok.col)
-                seen.add(key)
-            return SetLit(items, tok.line, tok.col)
+            items, starts = self._sequence("}", tok)
+            _unique(items, starts, "duplicate set element")
+            return SetLit(tuple(items), tok.line, tok.col)
         if kind == "{":
-            items = tuple(self._sequence("}", tok))
+            items, starts = self._sequence("}", tok)
             if len(items) % 2:
                 raise ParseError("map literal needs an even number of forms", tok.line, tok.col)
-            pairs = tuple(zip(items[::2], items[1::2]))
-            seen = set()
-            for k, _ in pairs:
-                key = _freeze(k)
-                if key in seen:
-                    raise ParseError("duplicate map key", tok.line, tok.col)
-                seen.add(key)
-            return MapLit(pairs, tok.line, tok.col)
+            _unique(items[::2], starts[::2], "duplicate map key")
+            return MapLit(tuple(zip(items[::2], items[1::2])), tok.line, tok.col)
         raise ParseError(f"unexpected '{tok.value}'", tok.line, tok.col)
 
-    def _sequence(self, closer: str, opener: _Token) -> list[Expr]:
-        items = []
+    def _sequence(self, closer: str, opener: _Token) -> tuple[list[Expr], list[_Token]]:
+        """The items up to `closer`, and the token each item starts at."""
+        items, starts = [], []
         while True:
             tok = self._next(opener)
             if tok.kind == closer:
-                return items
+                return items, starts
             if tok.kind in ")]}" :
                 raise ParseError(f"mismatched '{tok.kind}'", tok.line, tok.col)
+            starts.append(tok)
             items.append(self._expression(tok))
 
     def _application(self, opener: _Token) -> Apply:
@@ -285,7 +286,7 @@ class _Parser:
         head = self._expression(tok)
         if not isinstance(head, Symbol):
             raise ParseError("operator position requires an operator name", tok.line, tok.col)
-        args = self._sequence(")", opener)
+        args, _ = self._sequence(")", opener)
         return Apply(head, tuple(args), opener.line, opener.col)
 
 

@@ -413,6 +413,25 @@ class TestMain:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("(q [:y] :given {:x 2})", "2:1: estimated distribution over [:y] is undefined: "
+             "the data have no mass where :x = 2"),
+            ('(q [:y] :given {:x "1"})', "2:1: estimated distribution over [:y] is undefined: "
+             "the data have no mass where :x = '1'"),
+        ],
+        ids=["value-outside-the-support", "value-of-another-type"],
+    )
+    def test_open_estimate_on_an_empty_stratum_exits_1(self, capsys, tmp_path, query, message):
+        path = tmp_path / "empty-stratum.wt"
+        samples = "[{:x 0 :y 0} {:x 1 :y 1} {:x 0 :y 1}]"
+        path.write_text(f"(define d (categorical {samples}))\n(estimate d {query})\n")
+        code, out, err = run_main(capsys, "run", str(path))
+        assert (code, out) == (1, "")
+        assert f"{path}: {message}" in err
+        assert "Traceback" not in err
+
     def test_empty_script(self, capsys, tmp_path):
         path = tmp_path / "empty.wt"
         path.write_text("; nothing here\n")

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -481,6 +482,12 @@ class TestEvaluatorEdges:
         with pytest.raises(UnknownVariableError):
             evaluate(example_distribution, skipped, {"x": 1})
 
+    def test_sum_over_no_variables_is_its_body(self, example_distribution):
+        # Sum is public, so a caller can build one with an empty subscript
+        body, context = prob(["y"], ["x"]), {"x": 1, "y": 1}
+        summed = evaluate(example_distribution, Sum(body, frozenset()), context)
+        assert summed == evaluate(example_distribution, body, context) > 0.0
+
     @pytest.mark.parametrize("given, hex_value, zeros", [
         (None, '0x1.3b13b13b13b14p-2', 1),
         ({"z": 1}, '0x0.0p+0', 3),
@@ -499,6 +506,103 @@ class TestEvaluatorEdges:
         evaluator = _Evaluator(dist)
         assert evaluator.run(formula.form, dict(formula.bindings)).hex() == hex_value
         assert evaluator.zero_conditionals == zeros
+
+
+_SUMMED = ("s0", "s1", "s2", "s3", "s4")
+
+
+@st.composite
+def _sparse_sums(draw):
+    """A joint over 3-5 summed variables and a context variable `c`, from a
+    few samples of three values each, so that most strata are empty; and a
+    sum over the summed variables of a product whose factors mention random
+    subsets of them. Some factors mention none, some are conditionals, and
+    one is a nested sum that rebinds a summed variable.
+
+    Returns the distribution, its (event, weight) pairs, its total, the form
+    and its variable names."""
+    summed = list(_SUMMED[:draw(st.integers(3, 5))])
+    names = summed + ["c"]
+    row = st.tuples(*(st.sampled_from((0, 1, 2)) for _ in names))
+    events = [dict(zip(names, r)) for r in draw(st.lists(row, min_size=1, max_size=12))]
+    subset = st.lists(st.sampled_from(names), max_size=3, unique=True)
+    terms = st.builds(lambda p, g: prob(p, set(g) - set(p)), subset, subset)
+    rebound = draw(st.sampled_from(summed))
+    inner = Product((prob([rebound], set(draw(subset)) - {rebound}), draw(terms)))
+    nested = Sum(inner, frozenset({Variable(rebound)}))
+    factors = [*draw(st.lists(terms, min_size=1, max_size=4)), prob(["c"]), nested]
+    form = Sum(Product(tuple(factors)), frozenset(map(Variable, summed)))
+    dist = CategoricalDistribution.from_samples(events)
+    return dist, [(e, 1) for e in events], len(events), form, names
+
+
+@given(_sparse_sums(), st.data())
+def test_sum_nest_matches_a_reference_evaluator(drawn, data):
+    # a factor evaluated in a loop outside that of its innermost variable
+    # reads a stale or outer value of that variable and fails this test
+    dist, pairs, total, form, names = drawn
+    context = {n: data.draw(st.sampled_from((0, 1, 2, 3))) for n in names}
+    env = {Variable(n): value for n, value in context.items()}
+    assert evaluate(dist, form, context) == _reference(form, env, dist, pairs, total)
+
+
+def test_each_term_is_evaluated_once_per_value_of_its_variables():
+    # the 5-covariate backdoor sum: P(z0) is read 2 times and P(z4) 32, not
+    # every term once per summed assignment
+    zs = [f"z{i}" for i in range(5)]
+    model = make_model({**dict.fromkeys(zs, []), "x": zs, "y": ["x", *zs]})
+    formula = identify(model, make_query({"y": 1}, do={"x": 1}))
+    names = [*zs, "x", "y"]
+    dist = categorical([dict(zip(names, key)) for key in itertools.product((0, 1), repeat=7)])
+    calls = Counter()
+
+    class Counting(_Evaluator):
+        def _prob(self, form):
+            run = super()._prob(form)
+
+            def counted(env):
+                calls[form] += 1
+                return run(env)
+            return counted
+
+    assert Counting(dist).run(formula.form, dict(formula.bindings)) == 0.5
+    expected = {prob([z]): 2 ** (i + 1) for i, z in enumerate(zs)}
+    expected[prob(["y"], ["x", *zs])] = 32
+    assert calls == expected
+
+
+class TestEmptyStratum:
+    """An open estimate whose mass is off names the first empty stratum
+    when the evaluator hit a 0/0, and keeps the old text otherwise."""
+
+    def test_given_value_with_no_samples(self, example_distribution):
+        with pytest.raises(EstimationError) as err:
+            estimate(example_distribution, make_query(["y"], given={"x": 2}))
+        assert str(err.value) == (
+            "estimated distribution over [:y] is undefined: the data have no mass where :x = 2"
+        )
+
+    def test_stratum_of_an_adjustment_formula(self):
+        # no sample has x = 1 and z = 0
+        dist = categorical([{"z": 0, "x": 0, "y": 0}, {"z": 1, "x": 1, "y": 1},
+                            {"z": 0, "x": 0, "y": 1}, {"z": 1, "x": 0, "y": 0}])
+        model = make_model({"z": [], "x": ["z"], "y": ["x", "z"]})
+        with pytest.raises(EstimationError) as err:
+            infer(model, dist, make_query(["y"], do={"x": 1}))
+        assert str(err.value).endswith("the data have no mass where :x = 1, :z = 0")
+        # the 0/0 of a Fraction's denominator names its free variables
+        with pytest.raises(EstimationError) as err:
+            infer(model, dist, make_query(["y"], do={"x": 0}, given={"z": 2}))
+        assert str(err.value).endswith("the data have no mass where :x = 0, :z = 2")
+
+    def test_formula_that_is_not_normalized(self, example_distribution):
+        bad = Formula(prob(["y"], ["x"]), {}, effect=frozenset({"y", "x"}))
+        with pytest.raises(EstimationError) as err:
+            estimate(example_distribution, bad)
+        assert str(err.value) == (
+            "estimated distribution over ['x', 'y'] has total mass 2.0; "
+            "the formula does not define a normalized distribution here"
+        )
 
 
 class TestInfer:

@@ -96,6 +96,34 @@ class TestParse:
         assert not err.value.incomplete
 
 
+    @pytest.mark.parametrize(
+        "text, message, incomplete",
+        [
+            ('(q\n  "abc', '2:3: unterminated string', True),
+            ('(q "ab\\', '1:4: unterminated string', True),
+            ('["a\\qb"]', "1:5: bad escape '\\q'", False),
+            ("[:x\n :]", "2:2: empty keyword", False),
+            ("[1 12abc]", "1:4: bad number: '12abc'", False),
+            ("{:a 1 :a 2}", "1:7: duplicate map key", False),
+            ("{:a 1\n :b :a\n :a 2}", "3:2: duplicate map key", False),
+            ("#{1 1}", "1:5: duplicate set element", False),
+            ("#{[1 :x]\n  [1 :x]}", "2:3: duplicate set element", False),
+            ("[1\n ( )]", "2:2: empty application", False),
+            ("(:x 1)", "1:2: operator position requires an operator name", False),
+            ("([head] 1)", "1:2: operator position requires an operator name", False),
+        ],
+        ids=[
+            "unterminated-string", "unterminated-escape", "bad-escape", "empty-keyword",
+            "bad-number", "duplicate-map-key", "map-value-equal-to-a-key",
+            "duplicate-set-element", "duplicate-set-vector", "empty-application",
+            "keyword-operator", "vector-operator",
+        ],
+    )
+    def test_error_message_and_position(self, text, message, incomplete):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.incomplete) == (message, incomplete)
+
     def test_invalid_keyword_fails_at_the_keyword(self):
         with pytest.raises(ParseError, match="invalid variable name") as err:
             parse("(q [:a\u00a0b])")
