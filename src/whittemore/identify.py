@@ -33,7 +33,6 @@ from .model import (
     Model,
     Variable,
     _c_components,
-    _order_within,
     _reach,
     as_event,
     d_separated,
@@ -234,18 +233,22 @@ def _marginal(p_form: Form, t: frozenset[Variable]) -> Form:
 def _chain_factors(
     p_form: Form, s: frozenset[Variable], v: frozenset[Variable], g: Model
 ) -> list[Form]:
-    """P(u | topological predecessors in v) of the current distribution, for each u in s."""
-    order = _order_within(g, v)
-    factors = []
-    for u in sorted(s):
-        before = frozenset(order[: order.index(u)])
-        if v == g.vertices:
-            # the plain joint of g: emit its conditional, minus irrelevancies
-            factors.append(Prob(frozenset((u,)), _prune_conditioning(g, u, before)))
-        else:
-            # P(u, before) / P(before) of a plain joint is P(u | before)
-            f = Fraction(_marginal(p_form, v - before - {u}), _marginal(p_form, v - before))
-            factors.append(_rule_condition(f) or f)
+    """P(u | predecessors in v) of the current distribution, for each u in s,
+    in the root graph's order g._order: any subset of a topological order is
+    a topological order of the subgraph over that subset."""
+    factors, before = [], set()
+    for u in g._order:
+        if u in s:
+            b = frozenset(before)
+            # P(u, b) / P(b) of a plain joint is P(u | b)
+            f = Fraction(_marginal(p_form, v - b - {u}), _marginal(p_form, v - b))
+            f = _rule_condition(f) or f
+            if v == g.vertices:
+                # g's own joint: drop the conditioning that u is independent of
+                f = Prob(f.p, _prune_conditioning(g, u, f.given))
+            factors.append(f)
+        if u in v:
+            before.add(u)
     return factors
 
 

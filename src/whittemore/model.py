@@ -185,13 +185,12 @@ def _build(
     m: Model,
     dag: dict[Variable, tuple[Variable, ...]],
     confounding: frozenset[frozenset[Variable]],
-    order: tuple[Variable, ...] | None = None,
 ) -> Model:
     """Set every slot of m from a normalized dag and confounding, and return m.
 
     Nothing is checked: Model(...) calls this after validating user input,
     subgraph and latent_projection with parts of a model that are valid by
-    construction. `order` is the topological order when known, else computed.
+    construction.
     """
     parent_sets = {v: frozenset(ps) for v, ps in dag.items()}
     children: dict[Variable, list[Variable]] = {v: [] for v in dag}
@@ -210,7 +209,7 @@ def _build(
     setattr_(m, "_parent_sets", parent_sets)
     setattr_(m, "_children", {v: frozenset(cs) for v, cs in children.items()})
     setattr_(m, "_siblings", {v: frozenset(ws - {v}) for v, ws in siblings.items()})
-    setattr_(m, "_order", order or tuple(_kahn_order(parent_sets, children)))
+    setattr_(m, "_order", tuple(_kahn_order(parent_sets, children)))
     return m
 
 
@@ -279,16 +278,6 @@ def topological_order(m: Model) -> list[Variable]:
     return list(m._order)
 
 
-def _order_within(m: Model, vs: frozenset[Variable]) -> list[Variable]:
-    """The topological order of the subgraph over vs, without building it. Over
-    a parent-closed set, the vertices of m become ready in the same relative
-    order as in the subgraph, so the ties fall the same way."""
-    parents = m._parent_sets
-    if all(parents[v] <= vs for v in vs):
-        return [v for v in m._order if v in vs]
-    return _kahn_order({v: parents[v] & vs for v in vs}, {v: m._children[v] & vs for v in vs})
-
-
 def _reach(
     step: Mapping[Variable, frozenset[Variable]],
     seeds: Iterable[Variable],
@@ -338,7 +327,7 @@ def subgraph(m: Model, s: Iterable[Any]) -> Model:
     keep = _contained(m, s)
     dag = {v: tuple(p for p in ps if p in keep) for v, ps in m.dag.items() if v in keep}
     confounding = frozenset(g for g in (g & keep for g in m.confounding) if len(g) >= 2)
-    return _build(object.__new__(Model), dag, confounding, tuple(_order_within(m, keep)))
+    return _build(object.__new__(Model), dag, confounding)
 
 
 def d_separated(

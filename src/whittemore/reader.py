@@ -182,14 +182,12 @@ def _classify_atom(tok: _Token) -> Expr:
 def _freeze(expr: Expr):
     """Hashable structural key for duplicate detection in literals.
 
-    Type-tagged so that the keyword :x and the string "x" stay distinct.
+    An atom is its own key, so atoms collide exactly when their values are
+    equal keys once evaluated (1, 1.0 and true; :x and "x"). Symbols and
+    collections are tagged, so that a symbol is not its name's string.
     """
-    if isinstance(expr, Variable):
-        return ("kw", str(expr))
-    if isinstance(expr, bool):
-        return ("bool", expr)
     if isinstance(expr, (int, float, str)):
-        return (type(expr).__name__, expr)
+        return expr
     if isinstance(expr, Symbol):
         return ("sym", expr.name)
     if isinstance(expr, VectorLit):

@@ -74,6 +74,10 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("#{:x :x}")
 
+    def test_symbol_and_its_names_string_are_different_keys(self):
+        (m,) = parse('{a 1 "a" 2}')
+        assert len(m.pairs) == 2
+
     def test_error_positions(self):
         with pytest.raises(ParseError) as err:
             parse("\n  #oops")
@@ -108,6 +112,9 @@ class TestParse:
             ("{:a 1\n :b :a\n :a 2}", "3:2: duplicate map key", False),
             ("#{1 1}", "1:5: duplicate set element", False),
             ("#{[1 :x]\n  [1 :x]}", "2:3: duplicate set element", False),
+            ("{1 :a 1.0 :b}", "1:7: duplicate map key", False),
+            ("#{1 true}", "1:5: duplicate set element", False),
+            ('{:x 1 "x" 2}', "1:7: duplicate map key", False),
             ("[1\n ( )]", "2:2: empty application", False),
             ("(:x 1)", "1:2: operator position requires an operator name", False),
             ("([head] 1)", "1:2: operator position requires an operator name", False),
@@ -115,7 +122,8 @@ class TestParse:
         ids=[
             "unterminated-string", "unterminated-escape", "bad-escape", "empty-keyword",
             "bad-number", "duplicate-map-key", "map-value-equal-to-a-key",
-            "duplicate-set-element", "duplicate-set-vector", "empty-application",
+            "duplicate-set-element", "duplicate-set-vector", "equal-number-keys",
+            "equal-number-and-boolean", "equal-keyword-and-string", "empty-application",
             "keyword-operator", "vector-operator",
         ],
     )

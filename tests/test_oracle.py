@@ -17,7 +17,13 @@ from whittemore import (
 )
 from whittemore.errors import UnknownVariableError
 from whittemore.model import Variable
-from whittemore.oracle import DiscreteSCM, exact_joint, intervene, random_scm
+from whittemore.oracle import (
+    DiscreteSCM,
+    TableMechanism,
+    exact_joint,
+    intervene,
+    random_scm,
+)
 
 
 def deterministic_chain():
@@ -203,7 +209,7 @@ class TestConditionalQueries:
 class TestEndToEndSoundness:
     @pytest.mark.parametrize("seed", range(40))
     def test_identified_formulas_match_mutilated_truth(self, seed):
-        scm = random_scm(seed, max_vars=4, confounding_prob=0.35)
+        scm = relabel(random_scm(seed, max_vars=4, confounding_prob=0.35), seed)
         joint = exact_joint(scm)
         names = sorted(scm.model.vertices)
         for do_var in names:
@@ -229,7 +235,7 @@ class TestEndToEndSoundness:
     def test_set_queries_on_restricted_data_match_mutilated_truth(self, seed):
         # effect and do sets of 1-2 variables on a 5-variable SCM; every other
         # query hides a variable, which identify absorbs by latent projection
-        scm = five_variable_scm(seed)
+        scm = relabel(five_variable_scm(seed), seed)
         joint = exact_joint(scm)
         names = sorted(scm.model.vertices)
         causes = [v for v in names if len(scm.model.children(v)) >= 2]
@@ -244,19 +250,45 @@ class TestEndToEndSoundness:
             others = [v for v in signature if v not in effect]
             upstream = [v for v in others if v in ancestors(scm.model, effect)] or others
             do = rng.sample(upstream, min(len(upstream), rng.randint(1, 2)))
-            result = identify(scm.model, Data(signature), make_query(effect, do=do))
-            if isinstance(result, Fail):
-                assert latent_projection(scm.model, signature).confounding
-                continue
-            observed = marginal_joint(joint, signature)
-            for do_bits in itertools.product((0, 1), repeat=len(do)):
-                fixed = tuple(sorted(zip(do, do_bits)))
-                if fixed not in truths:
-                    truths[fixed] = exact_joint(intervene(scm, dict(fixed)))
-                for effect_bits in itertools.product((0, 1), repeat=len(effect)):
-                    event = dict(zip(effect, effect_bits))
-                    got = evaluate(observed, result, {**dict(fixed), **event})
-                    assert got == pytest.approx(truths[fixed].measure(event), abs=1e-9)
+            assert_matches_truth(scm, joint, truths, signature, effect, do)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_step_seven_on_a_component_not_closed_under_parents(self, seed):
+        # in this graph, P(e | do(d)) grows the intervention to {a, b, c, d}
+        # and then enters the c-component {a, d, e}, which holds d but not its
+        # parents b and c
+        scm = random_scm(383, max_vars=5, confounding_prob=0.2)
+        assert scm.model == make_model(
+            {"a": [], "b": ["a"], "c": ["a"], "d": ["b", "c"], "e": ["d"]},
+            [{"a", "d"}, {"a", "e"}],
+        )
+        scm = relabel(scm, seed)
+        joint = exact_joint(scm)
+        names = sorted(scm.model.vertices)
+        truths = {}
+        for hidden in [None, *names]:
+            signature = [v for v in names if v != hidden]
+            for effect, do in itertools.permutations(signature, 2):
+                assert_matches_truth(scm, joint, truths, signature, [effect], [do])
+
+
+def assert_matches_truth(scm, joint, truths, signature, effect, do):
+    """identify P(effect | do(do)) from the marginal of joint over signature,
+    and match the formula at every binary value to the mutilated exact joint,
+    cached in truths by the do-assignment. A Fail needs a confounded projection."""
+    result = identify(scm.model, Data(signature), make_query(effect, do=do))
+    if isinstance(result, Fail):
+        assert latent_projection(scm.model, signature).confounding
+        return
+    observed = marginal_joint(joint, signature)
+    for do_bits in itertools.product((0, 1), repeat=len(do)):
+        fixed = tuple(sorted(zip(do, do_bits)))
+        if fixed not in truths:
+            truths[fixed] = exact_joint(intervene(scm, dict(fixed)))
+        for effect_bits in itertools.product((0, 1), repeat=len(effect)):
+            event = dict(zip(effect, effect_bits))
+            got = evaluate(observed, result, {**dict(fixed), **event})
+            assert got == pytest.approx(truths[fixed].measure(event), abs=1e-9)
 
 
 def five_variable_scm(seed):
@@ -265,6 +297,34 @@ def five_variable_scm(seed):
     while len((scm := random_scm(k, max_vars=5, confounding_prob=0.2)).model.vertices) < 5:
         k += 1
     return scm
+
+
+def relabel(scm, seed):
+    """scm with its variables renamed by a seeded shuffle of their names.
+
+    random_scm names its variables in topological order; after the shuffle,
+    name order need not be a topological order, as in a user's model.
+    """
+    old = sorted(scm.model.vertices)
+    new = list(old)
+    random.Random(seed).shuffle(new)
+    name = dict(zip(old, new))
+
+    def group(g):
+        return frozenset(name[v] for v in g)
+
+    model = make_model(
+        {name[v]: [name[p] for p in ps] for v, ps in scm.model.dag.items()},
+        [group(g) for g in scm.model.confounding],
+    )
+    mechanisms = {
+        name[v]: TableMechanism(
+            tuple(name[p] for p in m.parents), tuple(map(group, m.groups)), m.table
+        )
+        for v, m in scm.mechanisms.items()
+    }
+    noise = {group(g): outcomes for g, outcomes in scm.noise.items()}
+    return DiscreteSCM(model, noise, mechanisms, {name[v]: d for v, d in scm.domains.items()})
 
 
 def marginal_joint(joint, names):
