@@ -288,30 +288,18 @@ class SampleTable(Sequence):
     `distinct` holds each row tuple once, in first-seen order, and `codes`
     gives each row's index into it, so a repeated record costs one int and
     `categorical` counts the codes. Rows equal as tuples share one code and
-    one stored tuple.
+    one stored tuple. The constructor takes rows already coded, as `_code`
+    codes them.
     """
 
     __slots__ = ("header", "distinct", "codes")
 
-    def __init__(self, header: Sequence[Variable], rows: Iterable[Sequence]):
-        # a row seen for the first time gets the next code
-        index: defaultdict[tuple, int] = defaultdict(itertools.count().__next__)
-        codes = tuple(map(index.__getitem__, map(tuple, rows)))
+    def __init__(
+        self, header: Sequence[Variable], distinct: tuple[tuple, ...], codes: tuple[int, ...]
+    ):
         object.__setattr__(self, "header", tuple(header))
-        object.__setattr__(self, "distinct", tuple(index))
+        object.__setattr__(self, "distinct", distinct)
         object.__setattr__(self, "codes", codes)
-
-    @classmethod
-    def coded(
-        cls, header: Sequence[Variable], distinct: tuple[tuple, ...], codes: tuple[int, ...]
-    ) -> "SampleTable":
-        """A table of rows already coded: `distinct` in first-seen order and
-        equal rows under one code, each code an index into it."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "header", tuple(header))
-        object.__setattr__(table, "distinct", distinct)
-        object.__setattr__(table, "codes", codes)
-        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("SampleTable is immutable")
@@ -326,7 +314,8 @@ class SampleTable(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return SampleTable(self.header, map(self.distinct.__getitem__, self.codes[index]))
+            kept, codes = _code(self.codes[index])
+            return SampleTable(self.header, tuple(map(self.distinct.__getitem__, kept)), codes)
         return dict(zip(self.header, self.distinct[self.codes[index]]))
 
     def __eq__(self, other) -> bool:
@@ -342,6 +331,14 @@ class SampleTable(Sequence):
     def __repr__(self) -> str:
         vs = " ".join(repr(v) for v in self.header)
         return f"<sample table over [{vs}], {len(self.codes)} rows>"
+
+
+def _code(items: Iterable) -> tuple[tuple, tuple[int, ...]]:
+    """The distinct items in first-seen order, and each item's index into them."""
+    # an item seen for the first time gets the next code
+    index: defaultdict[Any, int] = defaultdict(itertools.count().__next__)
+    codes = tuple(map(index.__getitem__, items))
+    return tuple(index), codes
 
 
 def categorical(samples: Iterable[Mapping[Any, Any]]) -> CategoricalDistribution:

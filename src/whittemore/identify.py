@@ -35,7 +35,6 @@ from .model import (
     _c_components,
     _reach,
     as_event,
-    d_separated,
     latent_projection,
     names,
     subgraph,
@@ -204,24 +203,13 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
     return Formula(form, bindings, effect=y)
 
 
-def _prune_conditioning(
-    g: Model, v: Variable, conditioning: frozenset[Variable]
-) -> frozenset[Variable]:
-    """Drop conditioning variables d-separated from v given the rest.
-
-    Each removal is a conditional independence of every distribution
-    compatible with g, so the conditional probability is unchanged.
-    """
-    keep = set(conditioning)
-    changed = True
-    while changed:
-        changed = False
-        for w in sorted(keep):
-            if d_separated(g, v, (w,), keep - {w}):
-                keep.discard(w)
-                changed = True
-                break
-    return frozenset(keep)
+def _blanket(g: Model, u: Variable, before: frozenset[Variable]) -> frozenset[Variable]:
+    """u's ordered Markov blanket: its district in G[before | {u}] and that
+    district's parents, less u. With before a prefix of g's order, u is
+    independent of the rest of before given it in every compatible
+    distribution, and no smaller subset of it keeps that independence."""
+    d = _reach(g._siblings, (u,), keep=before | {u}) if u in g._siblings else (u,)
+    return frozenset().union(d, *[g._parent_sets[w] for w in d]) - {u}
 
 
 def _marginal(p_form: Form, t: frozenset[Variable]) -> Form:
@@ -235,7 +223,9 @@ def _chain_factors(
 ) -> list[Form]:
     """P(u | predecessors in v) of the current distribution, for each u in s,
     in the root graph's order g._order: any subset of a topological order is
-    a topological order of the subgraph over that subset."""
+    a topological order of the subgraph over that subset. When v is all of
+    g, the distribution is g's own joint and u conditions on its ordered
+    Markov blanket alone."""
     factors, before = [], set()
     for u in g._order:
         if u in s:
@@ -244,8 +234,8 @@ def _chain_factors(
             f = Fraction(_marginal(p_form, v - b - {u}), _marginal(p_form, v - b))
             f = _rule_condition(f) or f
             if v == g.vertices:
-                # g's own joint: drop the conditioning that u is independent of
-                f = Prob(f.p, _prune_conditioning(g, u, f.given))
+                # g's own joint: u needs only its ordered Markov blanket
+                f = Prob(f.p, _blanket(g, u, b))
             factors.append(f)
         if u in v:
             before.add(u)

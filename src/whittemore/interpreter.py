@@ -13,16 +13,15 @@ here too.
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 import sys
-from collections import defaultdict
 from collections.abc import Callable, Container, Mapping, Sequence
 from typing import Any
 
 from .distribution import (
     CategoricalDistribution,
     SampleTable,
+    _code,
     categorical,
     estimate,
     infer,
@@ -131,11 +130,7 @@ def read_csv(path: str | os.PathLike) -> SampleTable:
         try:
             header = _header(path, next(reader, []))
             line = reader.line_num + 1
-            # a line seen for the first time gets the next code
-            index: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-            codes = tuple(map(index.__getitem__, handle))
-            lines = tuple(index)
-            del index  # freed before parsing, so that it adds nothing to the peak
+            lines, codes = _code(handle)
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
@@ -144,7 +139,7 @@ def read_csv(path: str | os.PathLike) -> SampleTable:
     if table is None:
         reader = csv.reader(map(lines.__getitem__, codes))
         try:
-            table = SampleTable(header, reader)
+            table = SampleTable(header, *_code(map(tuple, reader)))
         except csv.Error as exc:
             raise DataFormatError(f"{path}:{line - 1 + reader.line_num}: {exc}") from None
     if any(len(row) != len(header) for row in table.distinct):
@@ -195,10 +190,9 @@ def _whole_lines(
         return None
     if len(dict.fromkeys(rows)) < len(rows):
         # two lines give one row: code the rows, and recode the lines by them
-        index: defaultdict[tuple, int] = defaultdict(itertools.count().__next__)
-        recode = list(map(index.__getitem__, rows))
-        rows, codes = tuple(index), tuple(map(recode.__getitem__, codes))
-    return SampleTable.coded(header, rows, codes)
+        rows, recode = _code(rows)
+        codes = tuple(map(recode.__getitem__, codes))
+    return SampleTable(header, rows, codes)
 
 
 def _check_path(path: Any, op: str) -> None:
@@ -324,9 +318,14 @@ def eval_expr(env: Environment, expr: Expr) -> tuple[Any, Environment]:
             value, env = eval_expr(env, item)
             out.append(value)
         try:
-            return frozenset(out), env
+            result = frozenset(out)
         except TypeError:
             raise EvalError("set elements must be simple values") from None
+        # the reader rejects repeated literals; equal values under two symbols
+        # only meet here
+        if len(result) < len(out):
+            raise EvalError("duplicate set element")
+        return result, env
     if isinstance(expr, MapLit):
         result = {}
         for key_expr, value_expr in expr.pairs:
@@ -336,6 +335,8 @@ def eval_expr(env: Environment, expr: Expr) -> tuple[Any, Environment]:
                 result[key] = value
             except TypeError:
                 raise EvalError("map keys must be simple values") from None
+        if len(result) < len(expr.pairs):
+            raise EvalError("duplicate map key")
         return result, env
     if isinstance(expr, Apply):
         if expr.op.name == "define":

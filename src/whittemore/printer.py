@@ -124,12 +124,10 @@ def _cell(v: Any) -> str:
 def display_value(value: Any) -> str:
     if isinstance(value, TextBlock):
         return str(value)
-    if isinstance(value, Formula):
+    if isinstance(value, (Formula, Fail)):
         from .render import to_text
 
         return to_text(value)
-    if isinstance(value, Fail):
-        return "Fail: " + value.message
     if isinstance(value, CategoricalDistribution):
         vs = " ".join(print_value(v) for v in value.variables)
         return f"#categorical[{vs}]"

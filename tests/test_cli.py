@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -460,6 +461,23 @@ class TestMain:
         assert f"{path}: 1:" in err
         assert "Traceback" not in err
 
+    def test_hedge_prints_its_fail_and_exits_0(self, capsys, tmp_path):
+        path = tmp_path / "bow.wt"
+        path.write_text(
+            "(define m (model {:x [] :y [:x]} #{:x :y}))\n(identify m (q [:y] :do [:x]))\n"
+        )
+        assert run_main(capsys, "run", str(path)) == (0, (
+            "(model {:x [], :y [:x]} #{:x :y})\n"
+            "Fail: P(y | do(x)) is not identifiable: "
+            "hedge over [:x, :y] with confounded subforest [:y]\n"
+        ), "")
+
+    def test_missing_script_exits_1(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert run_main(capsys, "run", "nope.wt") == (
+            1, "", f"cannot read 'nope.wt': {os.strerror(errno.ENOENT)}\n"
+        )
+
     def test_usage_error_exits_2(self, capsys):
         assert run_main(capsys)[0] == 2
         assert run_main(capsys, "bogus")[0] == 2
@@ -499,6 +517,28 @@ class TestMain:
 
     def test_emit_bad_format(self, capsys):
         assert run_main(capsys, "--emit", "png", "x.wt")[0] == 2
+
+    def test_emit_dot_needs_a_model(self, capsys, tmp_path):
+        path = tmp_path / "q.wt"
+        path.write_text("(q [:y])\n")
+        assert run_main(capsys, "--emit", "dot", str(path)) == (
+            1, "", f"{path}: --emit dot needs the last value to be a model\n"
+        )
+
+    def test_emit_from_an_empty_script_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "empty.wt"
+        path.write_text("; nothing here\n")
+        assert run_main(capsys, "--emit", "latex", str(path)) == (
+            1, "", f"{path}: nothing to emit from an empty script\n"
+        )
+
+    def test_emit_takes_one_script(self, capsys):
+        assert run_main(capsys, "--emit", "dot", "a.wt", "b.wt") == (
+            2, "", "--emit requires exactly one script file\n"
+        )
+
+    def test_repl_takes_no_arguments(self, capsys):
+        assert run_main(capsys, "repl", "extra") == (2, "", "repl takes no arguments\n")
 
     @pytest.mark.parametrize("demo", sorted(DEMO_OUTPUT))
     def test_script_mode_is_deterministic(self, capsys, monkeypatch, demo):

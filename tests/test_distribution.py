@@ -30,7 +30,7 @@ from whittemore import (
     signature,
     sum_over,
 )
-from whittemore.distribution import SampleTable, _Evaluator
+from whittemore.distribution import SampleTable, _code, _Evaluator
 from whittemore.errors import (
     DataFormatError,
     EstimationError,
@@ -743,7 +743,7 @@ class TestSampleTable:
             table = read_csv(path)
             with open(path, newline="", encoding="utf-8") as handle:
                 reader = csv.reader(handle)
-                want = SampleTable(next(reader), reader)
+                want = SampleTable(next(reader), *_code(map(tuple, reader)))
         assert table.header == want.header
         assert table.distinct == want.distinct
         assert table.codes == want.codes

@@ -217,6 +217,23 @@ class TestEval:
         )
         assert isinstance(values[0], Fail)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(define a 1) (define b 1) {a 1 b 2}", "1:27: duplicate map key"),
+            ("(define a 1)\n(define b 1.0)\n #{a b}", "3:2: duplicate set element"),
+        ],
+        ids=["map", "set"],
+    )
+    def test_symbols_bound_to_equal_values_are_duplicates(self, text, message):
+        with pytest.raises(EvalError) as err:
+            eval_program(text)
+        assert str(err.value) == message
+
+    def test_symbols_bound_to_different_values_are_distinct_keys(self):
+        values, _ = eval_program("(define a 1) (define b 2) {a 1 b 2} #{a b}")
+        assert values[2:] == [{1: 1, 2: 2}, frozenset({1, 2})]
+
     def test_purity(self):
         env = standard_environment()
         (expr,) = parse("(model {:x [] :y [:x]})")

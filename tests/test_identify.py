@@ -22,7 +22,8 @@ from whittemore import (
 )
 from whittemore.errors import QueryError, UnknownVariableError
 from whittemore.formula import form_key
-from whittemore.model import Variable, _c_components, _reach, latent_projection
+from whittemore.identify import _blanket
+from whittemore.model import Variable, _c_components, _reach, d_separated, latent_projection
 from whittemore.oracle import DiscreteSCM, TableMechanism, exact_joint, intervene
 
 
@@ -295,6 +296,30 @@ class TestIdentifyShortcuts:
             assert (s in _c_components(g, v)) == alone
             seen.add(alone)
         assert seen == {True, False}
+
+    def test_blanket_is_the_least_separating_set(self):
+        # each vertex u of a root-frame chain factor is independent of its
+        # other predecessors given its ordered Markov blanket B, and no member
+        # of B can be left out
+        rng = random.Random("blanket")
+        for i in range(1000):
+            n = rng.randint(2, 10)
+            names = [f"v{k}" for k in range(n)]
+            rng.shuffle(names)  # names[j] sits at topological position j
+            dag = {v: [names[k] for k in range(j) if rng.random() < 0.35]
+                   for j, v in enumerate(names)}
+            pairs = [p for p in itertools.combinations(names, 2) if rng.random() < 0.2]
+            g = make_model(dag, pairs)
+            if i % 3 == 2 and n > 3:
+                g = latent_projection(g, rng.sample(names, rng.randint(2, n - 1)))
+            before = frozenset()
+            for u in g._order:
+                b = _blanket(g, u, before)
+                assert b <= before
+                assert d_separated(g, u, before - b, b)
+                for w in b:
+                    assert not d_separated(g, u, (w,), b - {w})
+                before |= {u}
 
 
 def napkin():
