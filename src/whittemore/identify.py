@@ -205,9 +205,9 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
 
 def _blanket(g: Model, u: Variable, before: frozenset[Variable]) -> frozenset[Variable]:
     """u's ordered Markov blanket: its district in G[before | {u}] and that
-    district's parents, less u. With before a prefix of g's order, u is
-    independent of the rest of before given it in every compatible
-    distribution, and no smaller subset of it keeps that independence."""
+    district's parents, less u. With before the predecessors of u within an
+    ancestral v, u is independent of the rest of before given it in every
+    distribution Markov to G[v], and no smaller subset keeps that independence."""
     d = _reach(g._siblings, (u,), keep=before | {u}) if u in g._siblings else (u,)
     return frozenset().union(d, *[g._parent_sets[w] for w in d]) - {u}
 
@@ -221,21 +221,21 @@ def _marginal(p_form: Form, t: frozenset[Variable]) -> Form:
 def _chain_factors(
     p_form: Form, s: frozenset[Variable], v: frozenset[Variable], g: Model
 ) -> list[Form]:
-    """P(u | predecessors in v) of the current distribution, for each u in s,
-    in the root graph's order g._order: any subset of a topological order is
-    a topological order of the subgraph over that subset. When v is all of
-    g, the distribution is g's own joint and u conditions on its ordered
-    Markov blanket alone."""
+    """P(u | predecessors in v) of the current distribution for each u in s,
+    in the root graph's order g._order, any subset of which is a topological
+    order of its subgraph. While the distribution is the plain joint P(v), v
+    is ancestral, so P(v) is Markov to G[v] and u conditions on its ordered
+    Markov blanket alone; after step 7 a factor is a ratio of marginals."""
+    plain = p_form == Prob(v)
     factors, before = [], set()
     for u in g._order:
         if u in s:
             b = frozenset(before)
-            # P(u, b) / P(b) of a plain joint is P(u | b)
-            f = Fraction(_marginal(p_form, v - b - {u}), _marginal(p_form, v - b))
-            f = _rule_condition(f) or f
-            if v == g.vertices:
-                # g's own joint: u needs only its ordered Markov blanket
-                f = Prob(f.p, _blanket(g, u, b))
+            if plain:
+                f = Prob(frozenset((u,)), _blanket(g, u, b))
+            else:
+                f = Fraction(_marginal(p_form, v - b - {u}), _marginal(p_form, v - b))
+                f = _rule_condition(f) or f
             factors.append(f)
         if u in v:
             before.add(u)
@@ -246,9 +246,9 @@ def _id(
     y: frozenset[Variable], x: frozenset[Variable], p_form: Form, v: frozenset[Variable], g: Model
 ) -> Form | Fail:
     """ID on the subgraph of g over v, walked in place. p_form is the plain
-    joint over v until step 7 rewrites it, so it is g's own joint while v is
-    all of g. Steps 2 and 3 are idempotent, so they rewrite this frame
-    instead of recursing into one that would only repeat their walks."""
+    joint over v until step 7 rewrites it. Steps 2 and 3 are idempotent, so
+    they rewrite this frame instead of recursing into one that would repeat
+    their walks; step 4 opens a frame only for a component linked to x."""
     # 2: restrict to the ancestors of the effect, which are all of G[An(y)]
     if x:
         anc = _reach(g._parent_sets, y, keep=v)
@@ -267,24 +267,24 @@ def _id(
     if v - x - y:
         x = x | (v - _reach(g._parent_sets, y, x, v))
 
-    # 4: factor across the confounded components of the do-removed subgraph
+    # 4 and 6: factor across the c-components of G[v - x]. One with no
+    #    sibling in x is a c-component of G[v] too, so one chain pass gives
+    #    all their factors (Tian & Pearl 2002); only a component linked to x
+    #    by a sibling opens a frame. Step 6 is the case where none is linked
     components = _c_components(g, v - x)
-    if len(components) > 1:
-        factors = []
-        for s in components:
+    linked = [s for s in components if not all(x.isdisjoint(g._siblings.get(u, ())) for u in s)]
+    if linked != [v - x]:
+        factors = _chain_factors(p_form, v - x - frozenset().union(*linked), v, g)
+        for s in linked:
             r = _id(s, v - s, p_form, v, g)
             if isinstance(r, Fail):
                 return r
             factors.append(r)
         return sum_over(product(factors), v - (y | x))
 
-    # 6 (before 5): s = v - x stands alone in G[v] exactly when no member has
-    #    a sibling in x, and then step 5 cannot fire; chain-factorize it
-    s = components[0]
-    if all(x.isdisjoint(g._siblings.get(u, ())) for u in s):
-        return sum_over(product(_chain_factors(p_form, s, v, g)), s - y)
-
-    # 5: the whole graph is one confounded component; a hedge blocks the query
+    # 5: v - x is one component with a sibling in x; if that makes the whole
+    #    graph one confounded component, a hedge blocks the query
+    s = v - x
     v_components = _c_components(g, v)
     if len(v_components) == 1:
         hedge = Hedge(forest=subgraph(g, v), subforest=subgraph(g, s), witness=y)

@@ -14,6 +14,7 @@ from whittemore import (
     fraction,
     free_variables,
     identify,
+    infer,
     make_model,
     make_query,
     prob,
@@ -24,7 +25,7 @@ from whittemore.errors import QueryError, UnknownVariableError
 from whittemore.formula import form_key
 from whittemore.identify import _blanket
 from whittemore.model import Variable, _c_components, _reach, d_separated, latent_projection
-from whittemore.oracle import DiscreteSCM, TableMechanism, exact_joint, intervene
+from whittemore.oracle import DiscreteSCM, TableMechanism, exact_joint, intervene, random_scm
 
 
 class TestMakeQuery:
@@ -161,8 +162,6 @@ class TestFreeVariables:
 class TestMarkovianNeverFails:
     @pytest.mark.parametrize("seed", range(25))
     def test_random_markovian_models_identify(self, seed):
-        from whittemore.oracle import random_scm
-
         scm = random_scm(seed, max_vars=5, confounding_prob=0.0)
         names = sorted(scm.model.vertices)
         for do_var in names:
@@ -171,6 +170,47 @@ class TestMarkovianNeverFails:
                     continue
                 result = identify(scm.model, make_query([effect], do=[do_var]))
                 assert isinstance(result, Formula)
+
+
+class TestSemiMarkovianAnswers:
+    def test_infer_matches_the_mutilated_scm(self):
+        # every effect under every do-set of one or two variables, each set to
+        # one seeded value, on confounded SCMs; read from the full joint and
+        # from the joint with one vertex hidden, whose latent projection
+        # adds confounding
+        identified = failed = hidden_identified = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            scm = random_scm(seed, max_vars=5, confounding_prob=0.4)
+            joint = exact_joint(scm)
+            names = sorted(scm.model.vertices)
+            shown = [v for v in names if v != rng.choice(names)]
+            signatures = [joint]
+            if len(shown) >= 2:
+                signatures.append(joint.estimate(make_query(shown)))
+            values = {do: tuple(rng.randint(0, 1) for _ in do)
+                      for k in (1, 2) for do in itertools.combinations(names, k)}
+            truths = {}
+            for dist in signatures:
+                seen = dist.variables
+                for y, do in itertools.product(seen, values):
+                    if y in do or not set(do) <= set(seen):
+                        continue
+                    do_values = dict(zip(do, values[do]))
+                    result = infer(scm.model, dist, make_query([y], do=do_values))
+                    if isinstance(result, Fail):
+                        failed += 1
+                        continue
+                    identified += 1
+                    hidden_identified += dist is not joint
+                    if do not in truths:
+                        truths[do] = exact_joint(intervene(scm, do_values))
+                    for value in (0, 1):
+                        want = truths[do].measure({y: value})
+                        assert result.measure({y: value}) == pytest.approx(want, abs=1e-9), (
+                            seed, seen, y, do_values, value
+                        )
+        assert identified > 0 and failed > 0 and hidden_identified > 0
 
 
 def corpus_queries(count=300, seed="identify-corpus", max_vertices=9, with_given=False):
@@ -229,14 +269,22 @@ def render_result(result):
     ))
 
 
+def render_verdict(result):
+    """The verdict alone: equal for two results exactly when both are
+    formulas, or both are Fails with the same hedge and message."""
+    if isinstance(result, Formula):
+        return "Formula"
+    return render_result(result)
+
+
 def given_corpus_queries():
     """1,000 corpus queries of 3-12 vertices that condition on 0-2 variables."""
     return corpus_queries(1000, "identify-corpus-given", max_vertices=12, with_given=True)
 
 
-def corpus_digest(queries):
+def corpus_digest(queries, render=render_result):
     rendering = "\n".join(
-        render_result(identify(model, data, query)) for model, data, query in queries
+        render(identify(model, data, query)) for model, data, query in queries
     )
     return hashlib.sha256(rendering.encode()).hexdigest()
 
@@ -244,15 +292,26 @@ def corpus_digest(queries):
 class TestCorpusDigest:
     # SHA-256 of the rendered results of the 300 corpus queries; a change to
     # identify that alters any formula, hedge or message changes it
-    DIGEST = "8a8b100700a838658782a74551ccf9ab5025925fb462938b4aebce42395198a6"
+    DIGEST = "b1403dad5b02adf8054b5705d07f257f767fadf3208022a936d7c37a1f5e427d"
     # the same for the conditional corpus: 632 formulas and 368 hedges
-    GIVEN_DIGEST = "e0bf318b243b5e2055f33b4752ae8ccc9c3ece4ce9498944103951b3a7af7fdb"
+    GIVEN_DIGEST = "efa0f2d183b45a303b5b5b7ace6c5b6460083a95a66dab736625a39230398def"
+    # the verdicts alone: which queries fail, and each Fail's hedge and
+    # message. A rewrite of the recursion that changes only formula text
+    # must leave these unchanged
+    VERDICT_DIGEST = "fd9a8da61fb2d224dd0a1ea530b9cbd138db982575351378d7b4c819be806a62"
+    GIVEN_VERDICT_DIGEST = "e6ac7855dc05f61cc13d90de21ccd2902eba5e5d96a12d1ef566b1811ee57a9e"
 
     def test_corpus_digest(self):
         assert corpus_digest(corpus_queries()) == self.DIGEST
 
     def test_given_corpus_digest(self):
         assert corpus_digest(given_corpus_queries()) == self.GIVEN_DIGEST
+
+    def test_corpus_verdicts(self):
+        assert corpus_digest(corpus_queries(), render_verdict) == self.VERDICT_DIGEST
+
+    def test_given_corpus_verdicts(self):
+        assert corpus_digest(given_corpus_queries(), render_verdict) == self.GIVEN_VERDICT_DIGEST
 
 
 def corpus_graphs():
@@ -296,6 +355,25 @@ class TestIdentifyShortcuts:
             assert (s in _c_components(g, v)) == alone
             seen.add(alone)
         assert seen == {True, False}
+
+    def test_blanket_path_only_in_ancestral_frames(self, monkeypatch):
+        # a chain pass conditions on the ordered Markov blanket exactly when
+        # the distribution is the plain joint P(v), and then v is closed
+        # under parents, so that P(v) is Markov to G[v]; after step 7 it
+        # takes the path of marginals
+        module = importlib.import_module("whittemore.identify")
+        chain_factors, paths = module._chain_factors, []
+
+        def checked(p_form, s, v, g):
+            plain = p_form == prob(v)
+            assert not plain or all(g._parent_sets[u] <= v for u in v)
+            paths.append(plain)
+            return chain_factors(p_form, s, v, g)
+
+        monkeypatch.setattr(module, "_chain_factors", checked)
+        for model, data, query in itertools.chain(corpus_queries(), given_corpus_queries()):
+            identify(model, data, query)
+        assert set(paths) == {True, False}
 
     def test_blanket_is_the_least_separating_set(self):
         # each vertex u of a root-frame chain factor is independent of its
@@ -416,11 +494,12 @@ class TestModelsBuilt:
 
 
 class TestFramesMade:
-    """Steps 2 and 3 rewrite the frame they run in, so only step 4's
-    components and step 7 open an _id frame. Step 6 is decided without the
-    c-components of G[v], which are computed only for steps 5 and 7."""
+    """Steps 2 and 3 rewrite the frame they run in, and step 4 factors every
+    component with no sibling in x in one chain pass, so only a component
+    linked to x by a sibling, and step 7, open an _id frame. The
+    c-components of G[v] are computed only for steps 5 and 7."""
 
-    def count_frames(self, monkeypatch, model, query):
+    def count_frames(self, monkeypatch, model, query, frames=None):
         module = importlib.import_module("whittemore.identify")
         counts = {"_id": 0, "_c_components": 0}
         for name in counts:
@@ -428,6 +507,8 @@ class TestFramesMade:
 
             def counted(*args, name=name, fn=fn):
                 counts[name] += 1
+                if frames is not None and name == "_id":
+                    frames.append((sorted(args[0]), sorted(args[1]), sorted(args[3])))
                 return fn(*args)
 
             monkeypatch.setattr(module, name, counted)
@@ -435,15 +516,37 @@ class TestFramesMade:
         assert isinstance(result, Formula)
         return counts["_id"], counts["_c_components"]
 
-    def test_markovian_two_parent_chain(self, monkeypatch):
-        names = [f"v{i:02d}" for i in range(12)]
+    def two_parent_chain(self, monkeypatch, n):
+        # every component of G[v - x] is a singleton with no sibling: one
+        # frame and one c-component walk, however long the chain
+        names = [f"v{i:03d}" for i in range(n)]
         model = make_model({v: names[max(0, i - 2):i] for i, v in enumerate(names)})
-        query = make_query(["v11"], do=["v03"])
-        assert self.count_frames(monkeypatch, model, query) == (12, 11)
+        query = make_query([names[-1]], do=["v003"])
+        return self.count_frames(monkeypatch, model, query)
+
+    def test_markovian_two_parent_chain(self, monkeypatch):
+        assert self.two_parent_chain(monkeypatch, 12) == (1, 1)
+
+    def test_frames_do_not_grow_with_the_chain(self, monkeypatch):
+        assert self.two_parent_chain(monkeypatch, 400) == (1, 1)
 
     def test_long_front_door_chain(self, monkeypatch):
         query = make_query(["y"], do=["x"])
-        assert self.count_frames(monkeypatch, front_door_chain(16), query) == (19, 19)
+        assert self.count_frames(monkeypatch, front_door_chain(16), query) == (3, 3)
+
+    def test_only_the_component_linked_to_x_opens_a_frame(self, monkeypatch):
+        # x -> m1 -> m2 -> m3 -> y, x <-> y: of the components {m1}, {m2},
+        # {m3} and {y} of G[v - x], only {y} has a sibling in x. It opens
+        # the one step-4 frame, which step 7 narrows to {x, y}
+        frames = []
+        query = make_query(["y"], do=["x"])
+        assert self.count_frames(monkeypatch, front_door_chain(3), query, frames) == (3, 3)
+        everything = ["m1", "m2", "m3", "x", "y"]
+        assert frames == [
+            (["y"], ["x"], everything),
+            (["y"], ["m1", "m2", "m3", "x"], everything),
+            (["y"], ["x"], ["x", "y"]),
+        ]
 
     def test_napkin(self, monkeypatch):
         query = make_query(["y"], do=["x"])
