@@ -53,7 +53,7 @@ def _normalize_part(value, what: str):
     vs = names(value, what)
     if len(set(vs)) != len(vs):
         raise QueryError(f"duplicate variable in {what}")
-    return vs, None
+    return vs, (None if vs else {})  # an empty part is the same as none
 
 
 class Query:

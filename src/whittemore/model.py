@@ -27,7 +27,8 @@ from .errors import (
     VariableNameError,
 )
 
-_RESERVED_CHARS = frozenset("()[]{}#")
+# The reader ends a keyword at any of these, so no variable name may hold one.
+_RESERVED_CHARS = frozenset('()[]{}#,;"')
 
 
 class Variable(str):

@@ -3,18 +3,34 @@
 Literal syntax follows the usual Lisp-with-collections conventions: keywords
 begin with a colon, vectors are [...], maps are {k v ...}, sets are #{...},
 commas count as whitespace, and ; starts a line comment.
+
+The tokenizer reads a program in one scan of one compiled pattern. An offset
+becomes a line and column, through line starts found once per program, only
+for a token it keeps and for an error.
 """
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 from .errors import ParseError, VariableNameError
-from .model import Variable
+from .model import _RESERVED_CHARS, Variable
 
-_DELIMS = "()[]{}"
-_ATOM_END = set(" \t\r\n,()[]{}\";")
+# Whitespace, commas and comments match no group. An atom stops at every
+# character no variable name holds, so a printed keyword reads back as one. The
+# catch-all meets only a '#' that opens no set and a '"' that is never closed.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n,]+|;[^\n]*"
+    r"|(?P<delim>#\{|[()\[\]{}])"
+    r'|(?P<string>"(?:[^"\\]|\\.)*")'
+    r"|(?P<atom>[^ \t\r\n" + re.escape("".join(sorted(_RESERVED_CHARS))) + r"]+)"
+    r"|(?P<error>.)",
+    re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.\d*|\d*\.\d+|\d+)([eE][+-]?\d+)?\Z")
@@ -74,85 +90,46 @@ class Apply:
 Expr = Union[int, float, bool, str, Variable, Symbol, VectorLit, MapLit, SetLit, Apply]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of ( ) [ ] { } #{ atom string
+class _Token(NamedTuple):
+    kind: str  # one of ( ) [ ] { } #{ atom string end
     value: Any
     line: int
     col: int
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+    """The tokens of `text`, closed by an "end" token at the end of input."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
+    def where(offset: int) -> tuple[int, int]:
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
 
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n,":
-            advance()
+    def unescape(start: int, end: int) -> str:
+        def decode(m: re.Match) -> str:
+            if m[1] not in _ESCAPES:
+                raise ParseError(f"bad escape '\\{m[1]}'", *where(start + m.start(1)))
+            return _ESCAPES[m[1]]
+
+        return _ESCAPE_RE.sub(decode, text[start:end])
+
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind is None:
             continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if ch == "#":
-            if i + 1 < n and text[i + 1] == "{":
-                tokens.append(_Token("#{", "#{", line, col))
-                advance(2)
-                continue
-            raise ParseError("stray '#' (expected '#{')", line, col)
-        if ch in _DELIMS:
-            tokens.append(_Token(ch, ch, line, col))
-            advance()
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            advance()
-            out = []
-            while True:
-                if i >= n:
-                    raise ParseError(
-                        "unterminated string", start_line, start_col, incomplete=True
-                    )
-                c = text[i]
-                if c == '"':
-                    advance()
-                    break
-                if c == "\\":
-                    advance()
-                    if i >= n:
-                        raise ParseError(
-                            "unterminated string", start_line, start_col, incomplete=True
-                        )
-                    esc = text[i]
-                    if esc not in _ESCAPES:
-                        raise ParseError(f"bad escape '\\{esc}'", line, col)
-                    out.append(_ESCAPES[esc])
-                    advance()
-                else:
-                    out.append(c)
-                    advance()
-            tokens.append(_Token("string", "".join(out), start_line, start_col))
-            continue
-        # plain atom
-        start_line, start_col = line, col
-        j = i
-        while j < n and text[j] not in _ATOM_END and text[j] != "#":
-            j += 1
-        word = text[i:j]
-        advance(j - i)
-        tokens.append(_Token("atom", word, start_line, start_col))
+        if kind == "error":
+            if text[start] == "#":
+                raise ParseError("stray '#' (expected '#{')", *where(start))
+            unescape(start + 1, len(text))  # a bad escape is reported first
+            raise ParseError("unterminated string", *where(start), incomplete=True)
+        value = m[kind]
+        if kind == "delim":
+            kind = value
+        elif kind == "string":
+            value = unescape(start + 1, m.end() - 1)
+        tokens.append(_Token(kind, value, *where(start)))
+    tokens.append(_Token("end", "", *where(len(text))))
     return tokens
 
 
@@ -170,10 +147,14 @@ def _classify_atom(tok: _Token) -> Expr:
         return True
     if word == "false":
         return False
-    if _INT_RE.match(word):
-        return int(word)
     if _FLOAT_RE.match(word):
-        return float(word)
+        try:
+            number = int(word) if _INT_RE.match(word) else float(word)
+        except ValueError:  # more digits than int() reads
+            number = math.inf
+        if abs(number) == math.inf:
+            raise ParseError("number out of range", tok.line, tok.col)
+        return number
     if word[0].isdigit() or (word[0] in "+-" and len(word) > 1 and word[1].isdigit()):
         raise ParseError(f"bad number: {word!r}", tok.line, tok.col)
     return Symbol(word, tok.line, tok.col)
@@ -210,19 +191,15 @@ def _unique(items, starts: list[_Token], message: str) -> None:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], end_line: int, end_col: int):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.end = (end_line, end_col)
         self.depth = 0  # collections open at the current token
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def _next(self, opener: _Token | None = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            where = opener or _Token("", "", *self.end)
+        tok = self.tokens[self.pos]
+        if tok.kind == "end":
+            where = opener or tok
             raise ParseError(
                 "unexpected end of input"
                 + (f" (unclosed '{opener.kind}')" if opener else ""),
@@ -238,10 +215,6 @@ class _Parser:
         elif tok.kind in ")]}":
             self.depth -= 1
         return tok
-
-    def expression(self) -> Expr:
-        tok = self._next()
-        return self._expression(tok)
 
     def _expression(self, tok: _Token) -> Expr:
         kind = tok.kind
@@ -290,11 +263,8 @@ class _Parser:
 
 def parse(text: str) -> list[Expr]:
     """Parse a whole program into its top-level expressions."""
-    lines = text.split("\n")
-    end_line = len(lines)
-    end_col = len(lines[-1]) + 1
-    parser = _Parser(_tokenize(text), end_line, end_col)
+    parser = _Parser(_tokenize(text))
     out = []
-    while parser._peek() is not None:
-        out.append(parser.expression())
+    while parser.tokens[parser.pos].kind != "end":
+        out.append(parser._expression(parser._next()))
     return out

@@ -139,8 +139,9 @@ class TestReadCsv:
             ("a,,b", "column 2: variable name must be non-empty"),
             (" ,b", "column 1: invalid variable name: ' '"),
             ("a,a b", "column 2: invalid variable name: 'a b'"),
+            ('"a;b",c', "column 1: invalid variable name: 'a;b'"),
         ],
-        ids=["empty", "blank", "space"],
+        ids=["empty", "blank", "space", "semicolon"],
     )
     def test_header_cell_that_is_no_name(self, tmp_path, capsys, header, message):
         path = tmp_path / "header.csv"
@@ -452,6 +453,26 @@ class TestMain:
         code, out, err = run_main(capsys, "run", str(path))
         assert code == 1
         assert f"{path}: 2:3: unbound symbol: foo" in err
+
+    @pytest.mark.parametrize(
+        "number",
+        [
+            "1e400",
+            pytest.param(
+                "9" * 5000,
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() reads any number of digits",
+                ),
+            ),
+        ],
+        ids=["float", "digits"],
+    )
+    def test_number_out_of_range_exits_1_with_its_position(self, capsys, tmp_path, number):
+        path = tmp_path / "big.wt"
+        path.write_text(f"(define big\n  {number})\n")
+        code, out, err = run_main(capsys, "run", str(path))
+        assert (code, err) == (1, f"{path}: 2:3: number out of range\n")
 
     def test_deep_unclosed_nesting_exits_1(self, capsys, tmp_path):
         path = tmp_path / "deep.wt"

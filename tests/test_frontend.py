@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whittemore import (
     Data,
@@ -21,9 +24,12 @@ from whittemore.errors import (
     ParseError,
     RedefinitionError,
     UnboundSymbolError,
+    WhittemoreError,
 )
+from whittemore.model import _RESERVED_CHARS
 from whittemore.printer import display_value
 from whittemore.reader import _MAX_DEPTH, Apply, MapLit, SetLit, Symbol, VectorLit
+from tests.conftest import REPO_ROOT
 
 
 class TestParse:
@@ -118,13 +124,27 @@ class TestParse:
             ("[1\n ( )]", "2:2: empty application", False),
             ("(:x 1)", "1:2: operator position requires an operator name", False),
             ("([head] 1)", "1:2: operator position requires an operator name", False),
+            ('[:x "a\\q', "1:8: bad escape '\\q'", False),
+            ("[\r\n\r:]", "2:2: empty keyword", False),
+            ("x#y", "1:2: stray '#' (expected '#{')", False),
+            ("[1]\n#", "2:1: stray '#' (expected '#{')", False),
+            ("[1\n -1e400]", "2:2: number out of range", False),
+            pytest.param(
+                "[" + "9" * 5000 + "]", "1:2: number out of range", False,
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() reads any number of digits",
+                ),
+            ),
         ],
         ids=[
             "unterminated-string", "unterminated-escape", "bad-escape", "empty-keyword",
             "bad-number", "duplicate-map-key", "map-value-equal-to-a-key",
             "duplicate-set-element", "duplicate-set-vector", "equal-number-keys",
             "equal-number-and-boolean", "equal-keyword-and-string", "empty-application",
-            "keyword-operator", "vector-operator",
+            "keyword-operator", "vector-operator", "bad-escape-in-unclosed-string",
+            "carriage-return-is-a-column", "atom-ends-at-hash", "stray-hash-at-end",
+            "float-out-of-range", "int-past-the-digit-limit",
         ],
     )
     def test_error_message_and_position(self, text, message, incomplete):
@@ -269,6 +289,7 @@ class TestPrintValue:
             make_query(["y"], do={"x": 0}),
             make_query({"y": 1}, given={"x": 1}),
             make_query(["y"], do=["x"], given=["w"]),
+            make_query(["y"], do=[]),
         ):
             values, _ = eval_program(print_value(q))
             assert values[0] == q
@@ -309,6 +330,99 @@ def test_print_parse_round_trip_on_random_literals():
         values, _ = eval_program(print_value(value))
         assert len(values) == 1
         assert values[0] == value
+
+
+
+# property tests of the reader: printed values read back, and malformed input
+# ends in a WhittemoreError
+
+_names = st.text(min_size=1, max_size=6).filter(
+    lambda s: not any(ch.isspace() or ch in _RESERVED_CHARS for ch in s)
+)
+_atoms = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(st.sampled_from('"\\\n\t\r') | st.characters(), max_size=8),
+    _names.map(Variable),
+)
+_literals = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.frozensets(_atoms, max_size=4),
+        st.dictionaries(_atoms, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _models(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=5, unique=True))
+    dag = {v: [p for p in names[:j] if draw(st.booleans())] for j, v in enumerate(names)}
+    pool = st.sampled_from(names)
+    groups = draw(st.lists(st.sets(pool, min_size=2), max_size=2)) if len(names) > 1 else []
+    return make_model(dag, groups)
+
+
+@st.composite
+def _queries(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+    parts = [[names[0]], [], []]  # effect, do, given
+    for v in names[1:]:
+        parts[draw(st.integers(0, 2))].append(v)
+    if draw(st.booleans()):
+        value = st.one_of(st.integers(-3, 3), st.text(max_size=3))
+        event = draw(st.booleans())
+        parts = [
+            {v: draw(value) for v in part} if i or event else part
+            for i, part in enumerate(parts)
+        ]
+    return make_query(*parts)
+
+
+_READER_RUNS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@_READER_RUNS
+@given(st.one_of(_literals, _models(), _queries()))
+def test_printed_values_read_back(value):
+    values, _ = eval_program(print_value(value))
+    assert values == [value]
+
+
+# no read-csv, so that no soup reads a file
+_SOUP = [
+    "(", ")", "[", "]", "{", "}", "#{", "#", '"', "\\", '\\"', "\\n", "\\q", ";", ",",
+    " ", "\n", "\r", "\u00a0", ":", ":x", ":y", "x", "1", "-2", "3.5", "1e400", "e", ".",
+    "true", "define", "model", "data", "q", ":do", ":given", "identify", "estimate",
+    "measure", "infer", "categorical", "head", "signature", "marginal-table",
+]
+_DEMOS = [p.read_text() for p in sorted((REPO_ROOT / "demo").glob("*.wt"))]
+
+
+@st.composite
+def _mutated_demos(draw):
+    text = draw(st.sampled_from(_DEMOS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(st.sampled_from(_SOUP + [""])) + text[j:]
+    return text
+
+
+@_READER_RUNS
+@given(st.one_of(st.lists(st.sampled_from(_SOUP), max_size=30).map("".join), _mutated_demos()))
+def test_malformed_programs_raise_only_whittemore_errors(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+    try:
+        eval_program(text)
+    except WhittemoreError:
+        pass
 
 
 class TestDisplay:

@@ -36,7 +36,7 @@ class TestVariable:
         assert Variable("z_1") == "z_1"
         assert Variable(Variable("x")) == "x"
 
-    @pytest.mark.parametrize("bad", ["", "a b", "a(", "x]", "h#", "{", "\tq"])
+    @pytest.mark.parametrize("bad", ["", "a b", "a(", "x]", "h#", "{", "\tq", "a,b", "a;b", 'a"b'])
     def test_rejects_reserved_characters(self, bad):
         with pytest.raises(VariableNameError):
             Variable(bad)
