@@ -16,7 +16,7 @@ from typing import Any
 
 from .errors import DataFormatError, EstimationError, UnknownVariableError
 from .formula import Fail, Form, Formula, Fraction, Prob, Product, Sum, free_variables
-from .identify import Query, identify
+from .identify import Query, _bind, _derive, _shape
 from .model import Data, Model, Variable, as_event
 
 Event = Mapping[Variable, Any]
@@ -54,8 +54,10 @@ class CategoricalDistribution:
         self._support = dict(support)
         self._cells = dict(cells)
         self._total = total
-        # marginal and conditional tables by their variable sets, filled on first use
+        # marginal and conditional tables by their variable sets, and compiled
+        # programs by form (_Evaluator.compile), filled on first use
         self._tables: dict[tuple[frozenset, frozenset], tuple[tuple, dict[tuple, float]]] = {}
+        self._programs: dict[Form, Callable] = {}
 
     @classmethod
     def from_samples(cls, samples: Iterable[Mapping[Any, Any]]) -> "CategoricalDistribution":
@@ -230,7 +232,7 @@ class CategoricalDistribution:
         run, env, cells = evaluator.compile(target.form), dict(target.bindings), {}
         for values in itertools.product(*self._supports(open_vars)):
             env.update(zip(open_vars, values))
-            cells[values] = run(env)
+            cells[values] = run(env, evaluator)
         mass = math.fsum(cells.values())
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
             if evaluator.empty_stratum is not None:
@@ -272,6 +274,10 @@ class CategoricalDistribution:
         )
 
     __hash__ = None
+
+    def __getstate__(self) -> dict:
+        # compiled programs are closures, which do not pickle; a copy compiles anew
+        return {**self.__dict__, "_programs": {}}
 
     def __repr__(self) -> str:
         vs = " ".join(repr(v) for v in self._variables)
@@ -375,18 +381,21 @@ def estimate(distribution, target):
 class _Evaluator:
     """Formula evaluation against one categorical distribution, by compilation.
 
-    `compile` turns each form node into a closure from an environment to a
-    float. Equal P(·) terms share one closure, which resolves its tables on
-    its first call; a term then costs a key build and a dict lookup, into the
-    distribution's memoised quotients for a conditional. A Sum is a loop nest
-    (`_sum`) that evaluates each body factor once per value of the summed
-    variables it reads.
+    `compile` turns each form node into a closure from an environment and an
+    evaluator to a float. Equal P(·) terms share one closure, which resolves
+    its tables on its first call; a term then costs a key build and a dict
+    lookup, into the distribution's memoised quotients for a conditional. A
+    Sum is a loop nest (`_sum`) that evaluates each body factor once per value
+    of the summed variables it reads. The distribution keeps each form's
+    program for its lifetime, and what a program resolves holds for any call.
 
-    `zero_conditionals` counts the 0/0 conditionals evaluated. A factor kept
-    out of inner loops is evaluated, and counted, once per value of the
-    variables it reads, so a sum's count can be lower than a flat walk's.
-    `empty_stratum` holds the first one's denominator as (variable, value)
-    pairs.
+    An evaluator holds the state of one call, and a program holds none: a
+    loop nest stores its factor values per call, and 0/0s are recorded in the
+    evaluator passed in. `zero_conditionals` counts the 0/0 conditionals
+    evaluated. A factor kept out of inner loops is evaluated, and counted,
+    once per value of the variables it reads, so a sum's count can be lower
+    than a flat walk's. `empty_stratum` holds the first one's denominator as
+    (variable, value) pairs.
     """
 
     def __init__(self, dist: CategoricalDistribution):
@@ -396,18 +405,15 @@ class _Evaluator:
         self._probs: dict[Prob, Callable] = {}
 
     def run(self, form: Form, env: Mapping[Variable, Any]) -> float:
-        return self.compile(form)(env)
+        return self.compile(form)(env, self)
 
-    def compile(self, form: Form) -> Callable[[Mapping[Variable, Any]], float]:
-        """A function from an environment to the value of `form`."""
-        run = self._compile(form)
-
-        def run_form(env):
-            try:
-                return run(env)
-            except KeyError as exc:  # a shared term reached where its variable is unbound
-                raise _unbound(exc.args[0]) from None
-        return run_form
+    def compile(self, form: Form) -> Callable[[Mapping[Variable, Any], "_Evaluator"], float]:
+        """The distribution's program for `form`, compiled on first use: a
+        function from an environment and the call's evaluator to its value."""
+        program = self.dist._programs.get(form)
+        if program is None:
+            program = self.dist._programs[form] = self._compile(form)
+        return program
 
     def _compile(self, form: Form):
         if isinstance(form, Prob):
@@ -419,17 +425,17 @@ class _Evaluator:
             return self._sum(form)
         if isinstance(form, Product):
             factors = [self._compile(factor) for factor in form.factors]
-            return lambda env: math.prod([factor(env) for factor in factors], start=1.0)
+            return lambda env, ev: math.prod([factor(env, ev) for factor in factors], start=1.0)
         if isinstance(form, Fraction):
             numer, denom = self._compile(form.numer), self._compile(form.denom)
 
-            def run_fraction(env):
-                d = denom(env)
+            def run_fraction(env, ev):
+                d = denom(env, ev)
                 if d == 0.0:
                     names = sorted(free_variables(form.denom) & env.keys())
-                    self._zero(names, [env[v] for v in names])
+                    ev._zero(names, [env[v] for v in names])
                     return 0.0
-                return numer(env) / d
+                return numer(env, ev) / d
             return run_fraction
         raise EstimationError(f"cannot evaluate {type(form).__name__}")
 
@@ -447,41 +453,46 @@ class _Evaluator:
         for i, factor in enumerate(factors):
             read = free_variables(factor) & form.sub
             stages[max([names.index(v) + 1 for v in read], default=0)].append(i)
-        values, supports = [0.0] * len(factors), None
+        supports = None
 
-        def nest(env, depth, total):
+        def nest(env, ev, values, depth, total):
             name, inner, deeper = names[depth], stages[depth + 1], depth + 1 < len(names)
             for value in supports[depth]:
                 env[name] = value
                 for i in inner:
-                    values[i] = runs[i](env)
+                    values[i] = runs[i](env, ev)
                 if deeper:
-                    total = nest(env, depth + 1, total)
+                    total = nest(env, ev, values, depth + 1, total)
                 else:
                     total += math.prod(values, start=1.0)
             return total
 
-        def run_sum(env):
+        def run_sum(env, ev):
             nonlocal supports
             if supports is None:
-                supports = self.dist._supports(names)
+                supports = ev.dist._supports(names)
+            values = [0.0] * len(factors)
             for i in stages[0]:
-                values[i] = runs[i](env)
-            return nest(dict(env), 0, 0.0) if names else 0.0 + math.prod(values, start=1.0)
+                values[i] = runs[i](env, ev)
+            if not names:
+                return 0.0 + math.prod(values, start=1.0)
+            return nest(dict(env), ev, values, 0, 0.0)
         return run_sum
 
     def _prob(self, form: Prob):
-        term = None
+        term, joint = None, form.p | form.given
 
-        def run_prob(env):
+        def run_prob(env, ev):
             nonlocal term
             if term is None:
-                term = self._resolve(form, env)
+                term = ev._resolve(form, env)
             key, table, given_names, given = term
             try:
                 value = table.get(key(env))
             except TypeError:  # an unhashable value, which no cell can hold
                 value = None
+            except KeyError:  # unbound in this call, though bound when the term was resolved
+                raise _unbound(sorted(joint - env.keys())[0]) from None
             if value is not None:
                 return value
             if given is not None:  # no quotient: an empty stratum, or no such cell
@@ -491,7 +502,7 @@ class _Evaluator:
                 except TypeError:
                     denom = 0.0
                 if denom == 0.0:
-                    self._zero(given_names, values)
+                    ev._zero(given_names, values)
             return 0.0
         return run_prob
 
@@ -550,9 +561,15 @@ def evaluate(
 def infer(model: Model, distribution, query: Query):
     """identify against the distribution's signature, then estimate.
 
-    A Fail from identification is returned as-is.
+    A Fail from identification is returned as-is. The model keeps each
+    query shape's derived form or Fail, by the signature's variables and the
+    effect, do and given sets, so a repeated shape is only checked and bound.
     """
-    result = identify(model, signature(distribution), query)
+    query, shape = _shape(model, signature(distribution), query)
+    form = model._derived.get(shape)
+    if form is None:
+        form = model._derived[shape] = _derive(model, *shape)
+    result = _bind(form, query, shape[1])
     if isinstance(result, Fail):
         return result
     return estimate(distribution, result)

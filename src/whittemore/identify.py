@@ -153,37 +153,44 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
     (not an exception) when the recursion meets a hedge: proof that an
     unconditional query is not identifiable, but not always for a
     conditional one (see the module docstring).
+
+    Every call runs the whole derivation: nothing is memoised here. A caller
+    that estimates one query many times keeps the formula this returns.
     """
+    query, shape = _shape(model, data_or_query, query)
+    return _bind(_derive(model, *shape), query, shape[1])
+
+
+def _shape(model: Model, data, query: Query | None) -> tuple[Query, tuple]:
+    """The query of a valid identify call, and what identification reads of
+    it: the data signature's variable set and the effect, do and given sets,
+    never their values. Raises on an invalid call."""
     if not isinstance(model, Model):
         raise QueryError(f"expected a model, got {type(model).__name__}")
     if query is None:
-        data = Data(sorted(model.vertices))
-        query = data_or_query
-    else:
-        data = data_or_query
+        data, query = Data(sorted(model.vertices)), data
     if not isinstance(data, Data):
         raise QueryError(f"expected a data signature, got {type(data).__name__}")
     if not isinstance(query, Query):
         raise QueryError(f"expected a query, got {type(query).__name__}")
-    if not data.joint_set <= model.vertices:
+    joint = data.joint_set
+    if not joint <= model.vertices:
         raise UnknownVariableError(
-            f"data variables not in model: {sorted(data.joint_set - model.vertices)}"
+            f"data variables not in model: {sorted(joint - model.vertices)}"
         )
     q_vars = set(query.effect) | set(query.do) | set(query.given)
-    missing = q_vars - data.joint_set
+    missing = q_vars - joint
     if missing:
         raise UnknownVariableError(
             f"query variables absent from the data signature: {sorted(missing)}"
         )
+    return query, (joint, variables(query.effect), variables(query.do), variables(query.given))
 
-    g = model
-    if data.joint_set < model.vertices:
-        g = latent_projection(model, data.joint_set)
 
-    y = variables(query.effect)
-    x = variables(query.do)
-    z = variables(query.given)
-
+def _derive(model: Model, joint, y, x, z) -> Form | Fail:
+    """The simplified form of P(y | do(x), z) over the variable set `joint`,
+    or a Fail; all four arguments are frozensets of variables."""
+    g = latent_projection(model, joint) if joint < model.vertices else model
     result = _id(y | z, x, Prob(g.vertices), g.vertices, g)
     if isinstance(result, Fail):
         return result
@@ -197,7 +204,13 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
     if z:
         # P(y | z, do(x)) = P(y, z | do(x)) / sum_y P(y, z | do(x))
         form = Fraction(form, sum_over(form, y))
-    form = simplify_form(form)
+    return simplify_form(form)
+
+
+def _bind(form: Form | Fail, query: Query, y: frozenset[Variable]) -> Formula | Fail:
+    """A derived form as this query's formula, its values bound; a Fail as it is."""
+    if isinstance(form, Fail):
+        return form
     free = free_variables(form)
     bindings = {v: val for v, val in query.bound_values().items() if v in free}
     return Formula(form, bindings, effect=y)

@@ -97,7 +97,8 @@ class Model:
     """
 
     __slots__ = (
-        "dag", "vertices", "confounding", "_parent_sets", "_children", "_siblings", "_order"
+        "dag", "vertices", "confounding", "_parent_sets", "_children", "_siblings", "_order",
+        "_derived",
     )
 
     def __init__(
@@ -211,6 +212,8 @@ def _build(
     setattr_(m, "_children", {v: frozenset(cs) for v, cs in children.items()})
     setattr_(m, "_siblings", {v: frozenset(ws - {v}) for v, ws in siblings.items()})
     setattr_(m, "_order", tuple(_kahn_order(parent_sets, children)))
+    # infer's memo: each query shape's derived form, or Fail, by identify._shape
+    setattr_(m, "_derived", {})
     return m
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from .distribution import CategoricalDistribution, SampleTable
+from .errors import DataFormatError
 from .formula import Fail, Formula
 from .identify import Query
 from .model import Data, Model, Variable
@@ -36,7 +37,13 @@ def print_value(value: Any) -> str:
     if isinstance(value, str) and not isinstance(value, TextBlock):
         return _escape(value)
     if isinstance(value, (int, float)):
-        return repr(value)
+        try:
+            return repr(value)
+        except ValueError:  # an int past the digit limit, which the reader refuses too
+            from decimal import Decimal
+
+            digits = Decimal(value).adjusted() + 1
+            raise DataFormatError(f"cannot print an integer of {digits} digits") from None
     if isinstance(value, (list, tuple, SampleTable)):
         return "[" + " ".join(print_value(x) for x in value) + "]"
     if isinstance(value, (set, frozenset)):

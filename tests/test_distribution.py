@@ -2,12 +2,16 @@ import csv
 import io
 import itertools
 import math
+import pickle
+import random
+import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whittemore import (
@@ -19,6 +23,7 @@ from whittemore import (
     estimate,
     eval_program,
     evaluate,
+    free_variables,
     identify,
     infer,
     make_model,
@@ -560,15 +565,108 @@ def test_each_term_is_evaluated_once_per_value_of_its_variables():
         def _prob(self, form):
             run = super()._prob(form)
 
-            def counted(env):
+            def counted(env, ev):
                 calls[form] += 1
-                return run(env)
+                return run(env, ev)
             return counted
 
     assert Counting(dist).run(formula.form, dict(formula.bindings)) == 0.5
     expected = {prob([z]): 2 ** (i + 1) for i, z in enumerate(zs)}
     expected[prob(["y"], ["x", *zs])] = 32
     assert calls == expected
+
+
+def _outcome(call):
+    """What a call gives: the float.hex() of a value, that of each cell of a
+    distribution, or an error's class and message."""
+    try:
+        result = call()
+    except WhittemoreError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, CategoricalDistribution):
+        return {key: value.hex() for key, value in result._cells.items()}
+    return result.hex()
+
+
+def _outcome_and_record(dist, kind, form, env):
+    """One estimate of the form with `env` bound and the rest open, or one
+    evaluation with its 0/0 record."""
+    if kind == "estimate":
+        formula = Formula(form, env, effect=free_variables(form) - env.keys())
+        return _outcome(lambda: estimate(dist, formula))
+    evaluator = _Evaluator(dist)
+    outcome = _outcome(lambda: evaluator.run(form, env))
+    return outcome, evaluator.zero_conditionals, evaluator.empty_stratum
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_joints(), st.data())
+def test_a_kept_program_runs_as_a_fresh_compile(joint, data):
+    # a sequence of calls on one distribution, which keeps each form's
+    # program, against each call on a copy that compiles afresh; the calls
+    # leave variables unbound, name one the joint lacks, and meet 0/0s
+    dist = joint[0]
+    known = list(map(str, dist.variables))
+    names = [*known, "nowhere"]
+    forms = data.draw(st.lists(st.one_of(_forms(known), _forms(names)), min_size=1, max_size=3))
+    call = st.tuples(
+        st.sampled_from(("evaluate", "estimate")),
+        st.sampled_from(forms),
+        st.lists(st.sampled_from(names), max_size=2, unique=True),
+        st.lists(st.sampled_from(_VALUES), min_size=len(names), max_size=len(names)),
+    )
+    for kind, form, unbound, values in data.draw(st.lists(call, min_size=1, max_size=8)):
+        env = {Variable(n): v for n, v in zip(names, values) if n not in unbound}
+        fresh = CategoricalDistribution(dist.variables, dist.support, dist._cells, dist._total)
+        kept = _outcome_and_record(dist, kind, form, env)
+        assert kept == _outcome_and_record(fresh, kind, form, env)
+
+
+def test_concurrent_infers_share_no_call_state():
+    # two queries of one shape run one kept program on one joint from four
+    # threads, switching often; a loop nest's stored values or a 0/0 record
+    # shared between calls gives wrong answers here
+    rng = random.Random(24)
+    zs = [f"z{i}" for i in range(4)]
+    parents = {**dict.fromkeys(zs, []), "x": zs, "y": ["x", *zs]}
+    keys = list(itertools.product((0, 1), repeat=6))
+    weights = [rng.uniform(0.1, 1.0) for _ in keys]
+    pairs = [(dict(zip([*zs, "x", "y"], k)), w / math.fsum(weights)) for k, w in zip(keys, weights)]
+
+    def fresh():
+        return make_model(parents), CategoricalDistribution.from_weights(pairs)
+
+    queries = [make_query(["y"], do={"x": x}) for x in (0, 1)]
+    serial = [_outcome(lambda q=q: infer(*fresh(), q)) for q in queries]
+    model, dist = fresh()
+    mismatches = []
+
+    def work():
+        for i in range(300):
+            if _outcome(lambda: infer(model, dist, queries[i % 2])) != serial[i % 2]:
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_a_joint_with_kept_programs_pickles():
+    dist, model = categorical(EXAMPLE_SAMPLES), make_model({"x": [], "y": ["x"]})
+    query = make_query({"y": 1}, do={"x": 1})
+    answer = infer(model, dist, query)
+    copy = pickle.loads(pickle.dumps(dist))
+    assert copy == dist and dist._programs and not copy._programs
+    assert infer(model, copy, query) == answer
 
 
 class TestEmptyStratum:
@@ -594,6 +692,22 @@ class TestEmptyStratum:
         with pytest.raises(EstimationError) as err:
             infer(model, dist, make_query(["y"], do={"x": 0}, given={"z": 2}))
         assert str(err.value).endswith("the data have no mass where :x = 0, :z = 2")
+
+    def test_a_kept_program_names_the_stratum_of_its_own_call(self):
+        # each query shape runs one kept program; a clean call or another
+        # stratum before it on the same joint leaves no trace in its message
+        dist = categorical([{"z": 0, "x": 0, "y": 0}, {"z": 1, "x": 1, "y": 1},
+                            {"z": 0, "x": 0, "y": 1}, {"z": 1, "x": 0, "y": 0}])
+        model = make_model({"z": [], "x": ["z"], "y": ["x", "z"]})
+        for x, z, stratum in ((1, 0, ":x = 1, :z = 0"), (0, 2, ":x = 0, :z = 2"),
+                              (0, 3, ":x = 0, :z = 3")):
+            clean = make_query(["y"], do={"x": 0}, given={"z": 0} if x == 0 else None)
+            assert isinstance(infer(model, dist, clean), CategoricalDistribution)
+            empty = make_query(["y"], do={"x": x}, given={"z": z} if x == 0 else None)
+            with pytest.raises(EstimationError) as err:
+                infer(model, dist, empty)
+            assert str(err.value).endswith(f"the data have no mass where {stratum}")
+        assert len(dist._programs) == 2
 
     def test_formula_that_is_not_normalized(self, example_distribution):
         bad = Formula(prob(["y"], ["x"]), {}, effect=frozenset({"y", "x"}))

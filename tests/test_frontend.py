@@ -20,6 +20,7 @@ from whittemore import (
     standard_environment,
 )
 from whittemore.errors import (
+    DataFormatError,
     EvalError,
     ParseError,
     RedefinitionError,
@@ -293,6 +294,17 @@ class TestPrintValue:
         ):
             values, _ = eval_program(print_value(q))
             assert values[0] == q
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="str() writes any number of digits"
+    )
+    @pytest.mark.parametrize("write, value", [
+        (print_value, 10**5000),
+        (display_value, [{"x": 0}, {"x": -(10**5000)}]),
+    ], ids=["print_value", "display_value-of-samples"])
+    def test_int_past_the_digit_limit_is_a_data_format_error(self, write, value):
+        with pytest.raises(DataFormatError, match="^cannot print an integer of 5001 digits$"):
+            write(value)
 
 
 def _random_literal(rng, depth=0):

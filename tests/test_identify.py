@@ -551,3 +551,118 @@ class TestFramesMade:
     def test_napkin(self, monkeypatch):
         query = make_query(["y"], do=["x"])
         assert self.count_frames(monkeypatch, napkin(), query) == (2, 3)
+
+
+class _Handing:
+    """A distribution that hands back the formula it is asked to estimate,
+    so that infer's identification can be read; its signature is whatever
+    it was given."""
+
+    def __init__(self, joint):
+        self.joint = joint
+
+    def signature(self):
+        return self.joint
+
+    def measure(self, event):
+        raise AssertionError("infer does not measure")
+
+    def estimate(self, target):
+        return target
+
+
+class TestInferMemo:
+    """infer derives each query shape (the signature's variables and the
+    effect, do and given sets) once per model, and binds each call's own
+    values; identify derives on every call."""
+
+    @pytest.fixture
+    def frames(self, monkeypatch):
+        module = importlib.import_module("whittemore.identify")
+        opened, fn = [], module._id
+
+        def counted(*args):
+            opened.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, "_id", counted)
+        return opened
+
+    def frames_of(self, frames, call):
+        before = len(frames)
+        result = call()
+        return result, len(frames) - before
+
+    def test_a_repeated_shape_opens_frames_only_on_its_first_call(self, frames, front_door):
+        dist = _Handing(Data(["x", "y", "z"]))
+        opened = []
+        for query in (
+            make_query(["y"], do={"x": 0}),
+            make_query(["y"], do={"x": 1}),
+            make_query({"y": 1}, do={"x": 1}),
+        ):
+            formula, n = self.frames_of(frames, lambda: infer(front_door, dist, query))
+            opened.append(n)
+            expected = identify(front_door, query)
+            assert formula == expected
+            assert formula.bindings == expected.bindings
+            assert formula.effect == expected.effect == {"y"}
+        assert opened[0] > 0
+        assert opened[1:] == [0, 0]
+
+    def test_identify_derives_on_every_call(self, frames, front_door):
+        query = make_query(["y"], do={"x": 0})
+        counts = [self.frames_of(frames, lambda: identify(front_door, query))[1] for _ in range(2)]
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("joint, query", [
+        (["x", "y"], make_query(["y"], do={"x": 0})),
+        (["x", "y", "z"], make_query(["y"], do={"x": 0}, given={"z": 1})),
+        (["x", "y", "z"], make_query(["y"], do={"x": 0, "z": 1})),
+    ], ids=["hidden-vertex", "given-set", "do-set"])
+    def test_another_shape_misses(self, frames, front_door, joint, query):
+        infer(front_door, _Handing(Data(["x", "y", "z"])), make_query(["y"], do={"x": 1}))
+        dist = _Handing(Data(joint))
+        first, missed = self.frames_of(frames, lambda: infer(front_door, dist, query))
+        second, hit = self.frames_of(frames, lambda: infer(front_door, dist, query))
+        assert missed > 0 and hit == 0
+        expected = identify(front_door, Data(joint), query)
+        assert first == second == expected
+        if isinstance(expected, Formula):
+            assert first.bindings == second.bindings == expected.bindings
+            assert first.effect == second.effect == expected.effect
+
+    def test_a_fail_comes_back_equal_with_its_hedge(self, front_door):
+        dist, query = _Handing(Data(["x", "y"])), make_query(["y"], do={"x": 0})
+        expected = identify(front_door, Data(["x", "y"]), query)
+        assert isinstance(expected, Fail)
+        for _ in range(3):
+            result = infer(front_door, dist, query)
+            assert result == expected and result.message == expected.message
+            assert result.hedge.forest == expected.hedge.forest
+            assert result.hedge.subforest == expected.hedge.subforest
+            assert result.hedge.witness == expected.hedge.witness == {"y"}
+
+    @pytest.mark.parametrize("model, joint, query, error", [
+        (None, Data(["x", "y", "z"]), make_query(["w"], do={"x": 0}), UnknownVariableError),
+        (None, Data(["x", "z"]), make_query(["y"], do={"x": 0}), UnknownVariableError),
+        ({"x": []}, Data(["x"]), make_query(["x"]), QueryError),
+        (None, Data(["x", "y", "z", "w"]), make_query(["y"], do={"x": 0}), UnknownVariableError),
+        (None, ["x", "y", "z"], make_query(["y"], do={"x": 0}), QueryError),
+    ], ids=["unknown-variable", "variable-not-in-signature", "non-model",
+            "signature-not-in-model", "non-data-signature"])
+    def test_an_invalid_call_raises_every_time_and_keeps_nothing(
+        self, front_door, model, joint, query, error
+    ):
+        model = front_door if model is None else model
+        raised = []
+        for call in (
+            lambda: identify(model, joint, query),
+            lambda: infer(model, _Handing(joint), query),
+            lambda: infer(model, _Handing(joint), query),
+        ):
+            with pytest.raises(error) as err:
+                call()
+            raised.append((type(err.value), str(err.value)))
+        assert raised[0] == raised[1] == raised[2]
+        assert front_door._derived == {}
