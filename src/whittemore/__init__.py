@@ -37,7 +37,7 @@ from .formula import (
     product,
     sum_over,
 )
-from .simplify import condition_pass, marginalize_pass, simplify, simplify_form
+from .simplify import simplify, simplify_form
 from .identify import Query, identify, make_query
 from .distribution import (
     CategoricalDistribution,
@@ -82,8 +82,6 @@ __all__ = [
     "Hedge",
     "Fail",
     "free_variables",
-    "marginalize_pass",
-    "condition_pass",
     "simplify",
     "simplify_form",
     "Query",

@@ -566,9 +566,14 @@ def infer(model: Model, distribution, query: Query):
     effect, do and given sets, so a repeated shape is only checked and bound.
     """
     query, shape = _shape(model, signature(distribution), query)
-    form = model._derived.get(shape)
+    try:
+        derived = model._derived
+    except AttributeError:  # the memo is made on a model's first infer
+        derived = {}
+        object.__setattr__(model, "_derived", derived)
+    form = derived.get(shape)
     if form is None:
-        form = model._derived[shape] = _derive(model, *shape)
+        form = derived[shape] = _derive(model, *shape)
     result = _bind(form, query, shape[1])
     if isinstance(result, Fail):
         return result

@@ -3,11 +3,13 @@
 A form is one of four shapes: an atomic conditional probability, a sum over
 subscripted variables, a product of forms, or a fraction. Binding is lexical:
 a variable is resolved by the innermost enclosing sum that subscripts it,
-otherwise by the formula's root binding map.
+otherwise by the formula's root binding map. `sum_over`, `product` and
+`fraction` build each node in normal form (see `simplify`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable, Mapping, Union
 
 from .model import Model, Variable, variables
@@ -55,22 +57,48 @@ def prob(p: Iterable[Any], given: Iterable[Any] = ()) -> Prob:
 
 
 def sum_over(body: Form, sub: Iterable[Any]) -> Form:
-    """Sum `body` over `sub`; an empty subscript is the identity."""
+    """Sum `body` over `sub`, in normal form when `body` is.
+
+    An empty subscript is the identity; a sum directly over a sum with a
+    disjoint subscript merges into it; sum_T P(S | G) is P(S - T | G) when T
+    is inside S and misses G.
+    """
     subs = variables(sub)
-    return Sum(body, subs) if subs else body
+    if not subs:
+        return body
+    if isinstance(body, Sum) and not (subs & body.sub):
+        body, subs = body.body, subs | body.sub
+    if isinstance(body, Prob) and subs <= body.p and not (subs & body.given):
+        return Prob(body.p - subs, body.given)
+    return Sum(body, subs)
 
 
 def product(factors: Iterable[Form]) -> Form:
-    """Build a product, unwrapping empty and singleton factor lists."""
-    fs = tuple(factors)
+    """The product of `factors`, in normal form when they are: nested
+    products are flattened, constant-1 factors dropped, and empty and
+    singleton lists unwrapped."""
+    fs: list[Form] = []
+    for f in factors:
+        if isinstance(f, Product):
+            fs.extend(f.factors)
+        elif f != ONE:
+            fs.append(f)
     if not fs:
         return ONE
     if len(fs) == 1:
         return fs[0]
-    return Product(fs)
+    return Product(tuple(fs))
 
 
-def fraction(numer: Form, denom: Form) -> Fraction:
+def fraction(numer: Form, denom: Form) -> Form:
+    """numer / denom, in normal form when they are: a fraction over ONE is its
+    numerator, and P(A | G) / P(B | G) is P(A - B | G + B) when B is strictly
+    inside A."""
+    if denom == ONE:
+        return numer
+    if isinstance(numer, Prob) and isinstance(denom, Prob):
+        if numer.given == denom.given and denom.p < numer.p:
+            return Prob(numer.p - denom.p, numer.given | denom.p)
     return Fraction(numer, denom)
 
 
@@ -92,16 +120,6 @@ def form_key(f: Form):
             key = (3, form_key(f.numer), form_key(f.denom))
         object.__setattr__(f, "_key", key)
     return key
-
-
-def count_nodes(f: Form) -> int:
-    if isinstance(f, Prob):
-        return 1
-    if isinstance(f, Sum):
-        return 1 + count_nodes(f.body)
-    if isinstance(f, Product):
-        return 1 + sum(count_nodes(x) for x in f.factors)
-    return 1 + count_nodes(f.numer) + count_nodes(f.denom)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +190,6 @@ def free_variables(f: Formula | Form) -> frozenset[Variable]:
     if isinstance(f, Sum):
         return free_variables(f.body) - f.sub
     if isinstance(f, Product):
-        out: frozenset[Variable] = frozenset()
-        for x in f.factors:
-            out |= free_variables(x)
-        return out
+        # one pass, and one factor's set alive at a time
+        return frozenset(chain.from_iterable(map(free_variables, f.factors)))
     return free_variables(f.numer) | free_variables(f.denom)

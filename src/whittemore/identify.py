@@ -20,10 +20,9 @@ from .formula import (
     Fail,
     Form,
     Formula,
-    Fraction,
     Hedge,
     Prob,
-    Sum,
+    fraction,
     free_variables,
     product,
     sum_over,
@@ -40,7 +39,6 @@ from .model import (
     subgraph,
     variables,
 )
-from .simplify import _rule_condition, _rule_marginalize, simplify_form
 
 
 def _normalize_part(value, what: str):
@@ -188,8 +186,9 @@ def _shape(model: Model, data, query: Query | None) -> tuple[Query, tuple]:
 
 
 def _derive(model: Model, joint, y, x, z) -> Form | Fail:
-    """The simplified form of P(y | do(x), z) over the variable set `joint`,
-    or a Fail; all four arguments are frozensets of variables."""
+    """The form of P(y | do(x), z) over the variable set `joint`, or a Fail;
+    all four arguments are frozensets of variables. The form is normal, as
+    the constructors build every node of it."""
     g = latent_projection(model, joint) if joint < model.vertices else model
     result = _id(y | z, x, Prob(g.vertices), g.vertices, g)
     if isinstance(result, Fail):
@@ -203,8 +202,8 @@ def _derive(model: Model, joint, y, x, z) -> Form | Fail:
         form = sum_over(product([form, Prob(stray)]), stray)
     if z:
         # P(y | z, do(x)) = P(y, z | do(x)) / sum_y P(y, z | do(x))
-        form = Fraction(form, sum_over(form, y))
-    return simplify_form(form)
+        return fraction(form, sum_over(form, y))
+    return form
 
 
 def _bind(form: Form | Fail, query: Query, y: frozenset[Variable]) -> Formula | Fail:
@@ -216,19 +215,14 @@ def _bind(form: Form | Fail, query: Query, y: frozenset[Variable]) -> Formula | 
     return Formula(form, bindings, effect=y)
 
 
-def _blanket(g: Model, u: Variable, before: frozenset[Variable]) -> frozenset[Variable]:
+def _blanket(g: Model, u: Variable, before: set[Variable]) -> frozenset[Variable]:
     """u's ordered Markov blanket: its district in G[before | {u}] and that
     district's parents, less u. With before the predecessors of u within an
     ancestral v, u is independent of the rest of before given it in every
     distribution Markov to G[v], and no smaller subset keeps that independence."""
-    d = _reach(g._siblings, (u,), keep=before | {u}) if u in g._siblings else (u,)
+    # u is the seed of the walk, so keep need not hold it
+    d = _reach(g._siblings, (u,), keep=before) if u in g._siblings else (u,)
     return frozenset().union(d, *[g._parent_sets[w] for w in d]) - {u}
-
-
-def _marginal(p_form: Form, t: frozenset[Variable]) -> Form:
-    """sum_t of the current distribution, as simplify leaves it when that is a plain joint."""
-    f = Sum(p_form, t) if t else p_form
-    return _rule_marginalize(f) or f
 
 
 def _chain_factors(
@@ -238,17 +232,17 @@ def _chain_factors(
     in the root graph's order g._order, any subset of which is a topological
     order of its subgraph. While the distribution is the plain joint P(v), v
     is ancestral, so P(v) is Markov to G[v] and u conditions on its ordered
-    Markov blanket alone; after step 7 a factor is a ratio of marginals."""
+    Markov blanket alone; after step 7 a factor is a ratio of marginals,
+    which `fraction` turns into a conditional where it can. `before` grows in
+    place: every reader of it only reads."""
     plain = p_form == Prob(v)
     factors, before = [], set()
     for u in g._order:
         if u in s:
-            b = frozenset(before)
             if plain:
-                f = Prob(frozenset((u,)), _blanket(g, u, b))
+                f = Prob(frozenset((u,)), _blanket(g, u, before))
             else:
-                f = Fraction(_marginal(p_form, v - b - {u}), _marginal(p_form, v - b))
-                f = _rule_condition(f) or f
+                f = fraction(sum_over(p_form, v - before - {u}), sum_over(p_form, v - before))
             factors.append(f)
         if u in v:
             before.add(u)
@@ -266,12 +260,12 @@ def _id(
     if x:
         anc = _reach(g._parent_sets, y, keep=v)
         if len(anc) < len(v):
-            v, p_form, x = frozenset(anc), _marginal(p_form, v - anc), x & anc
+            v, p_form, x = frozenset(anc), sum_over(p_form, v - anc), x & anc
 
     # 1: no intervention left, before any walk or after step 2; marginalize
     #    the current distribution
     if not x:
-        return _marginal(p_form, v - y)
+        return sum_over(p_form, v - y)
 
     # 3: grow the intervention with vertices that no longer reach the effect
     #    once the intervention's incoming edges are cut; y is always reached,

@@ -98,7 +98,7 @@ class Model:
 
     __slots__ = (
         "dag", "vertices", "confounding", "_parent_sets", "_children", "_siblings", "_order",
-        "_derived",
+        "_derived",  # infer's memo of derived forms by query shape, made on first use
     )
 
     def __init__(
@@ -212,8 +212,6 @@ def _build(
     setattr_(m, "_children", {v: frozenset(cs) for v, cs in children.items()})
     setattr_(m, "_siblings", {v: frozenset(ws - {v}) for v, ws in siblings.items()})
     setattr_(m, "_order", tuple(_kahn_order(parent_sets, children)))
-    # infer's memo: each query shape's derived form, or Fail, by identify._shape
-    setattr_(m, "_derived", {})
     return m
 
 

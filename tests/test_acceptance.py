@@ -11,6 +11,8 @@ from whittemore import (
     Data,
     Fail,
     Formula,
+    Fraction,
+    Sum,
     categorical,
     estimate,
     evaluate,
@@ -28,14 +30,14 @@ from whittemore import (
     standard_environment,
     sum_over,
     to_latex,
+    variables,
 )
 from whittemore.errors import RedefinitionError
 from whittemore.interpreter import eval_program
 from whittemore.oracle import exact_joint, intervene, random_scm
-from whittemore.simplify import condition_pass, marginalize_pass
 
 from tests.conftest import REPO_ROOT, SMOKING_COUNTS, kidney_rows
-from tests.test_simplify import _assignments, _random_form, _random_joint
+from tests.forms import assignments, random_form, random_joint
 
 
 def report(number: int, description: str):
@@ -131,15 +133,11 @@ def test_criterion_5_smoking_numbers(smoking_distribution):
 
 
 def test_criterion_6_simplification_regression():
-    quadruple = fraction(
-        prob(["y", "z", "x"]),
-        sum_over(prob(["y", "z", "x"]), ["y"]),
-    )
+    joint = prob(["y", "z", "x"])
+    quadruple = Fraction(joint, Sum(joint, variables(["y"])))
     assert simplify_form(quadruple) == prob(["y"], ["x", "z"])
-    # the same reduction, one named pass at a time
-    step1 = marginalize_pass(quadruple)
-    assert step1 == fraction(prob(["y", "z", "x"]), prob(["z", "x"]))
-    assert condition_pass(step1) == prob(["y"], ["x", "z"])
+    # the constructors apply the same rules as the form is built
+    assert fraction(joint, sum_over(joint, ["y"])) == prob(["y"], ["x", "z"])
     report(6, "joint-over-marginal quadruple reduces to the conditional")
 
 
@@ -188,11 +186,11 @@ def test_criterion_8_simplifier_soundness_fuzz():
     for seed in range(100):
         rng = random.Random(seed)
         names = rng.sample(["a", "b", "c", "d"], rng.randint(2, 4))
-        dist = _random_joint(rng, sorted(names))
-        form = _random_form(rng, sorted(names))
+        dist = random_joint(rng, sorted(names))
+        form = random_form(rng, sorted(names))
         simplified = simplify_form(form)
         assert simplify_form(simplified) == simplified
-        for env in _assignments(dist, form):
+        for env in assignments(dist, form):
             assert evaluate(dist, form, env) == pytest.approx(
                 evaluate(dist, simplified, env), abs=1e-12
             )

@@ -33,7 +33,7 @@ from whittemore import (
     prob,
     read_csv,
     signature,
-    sum_over,
+    variables,
 )
 from whittemore.distribution import SampleTable, _code, _Evaluator
 from whittemore.errors import (
@@ -256,7 +256,9 @@ class TestEvaluate:
         assert evaluate(example_distribution, prob(["y"]), {"y": 1}) == 0.6
 
     def test_total_probability(self, example_distribution):
-        assert evaluate(example_distribution, sum_over(prob(["x"]), ["x"]), {}) == 1.0
+        # built raw: sum_over would fold the sum into the constant ONE
+        total = Sum(prob(["x"]), variables(["x"]))
+        assert evaluate(example_distribution, total, {}) == 1.0
 
     def test_unbound_variable_is_an_error(self, example_distribution):
         with pytest.raises(EstimationError):
@@ -473,13 +475,15 @@ class TestEvaluatorEdges:
             evaluate(example_distribution, prob(p, given), context)
 
     def test_term_unbound_where_an_equal_term_was_bound(self, example_distribution):
-        # the denominator is evaluated first, binding x in its sum
-        form = Fraction(prob(["x"]), sum_over(prob(["x"]), ["x"]))
+        # the denominator is evaluated first, binding x in its sum; built
+        # raw, as sum_over would fold the sum into the constant ONE
+        form = Fraction(prob(["x"]), Sum(prob(["x"]), variables(["x"])))
         with pytest.raises(EstimationError, match="unbound variable :x"):
             evaluate(example_distribution, form)
 
     def test_sum_over_an_unknown_variable_fails_only_when_reached(self, example_distribution):
-        unknown = sum_over(prob(["nowhere"]), ["nowhere"])
+        # built raw, as sum_over would fold the sum into the constant ONE
+        unknown = Sum(prob(["nowhere"]), variables(["nowhere"]))
         with pytest.raises(UnknownVariableError):
             evaluate(example_distribution, unknown)
         skipped = Fraction(unknown, prob(["x"]))

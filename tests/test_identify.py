@@ -19,12 +19,21 @@ from whittemore import (
     make_query,
     prob,
     product,
+    simplify_form,
     sum_over,
+    variables,
 )
 from whittemore.errors import QueryError, UnknownVariableError
-from whittemore.formula import form_key
+from whittemore.formula import Sum, form_key
 from whittemore.identify import _blanket
-from whittemore.model import Variable, _c_components, _reach, d_separated, latent_projection
+from whittemore.model import (
+    Variable,
+    _c_components,
+    _reach,
+    d_separated,
+    latent_projection,
+    subgraph,
+)
 from whittemore.oracle import DiscreteSCM, TableMechanism, exact_joint, intervene, random_scm
 
 
@@ -156,7 +165,9 @@ class TestFreeVariables:
         assert free_variables(prob(["y"])) == {"y"}
 
     def test_fully_captured_sum(self):
-        assert free_variables(sum_over(prob(["x", "y"]), ["x", "y"])) == frozenset()
+        # built raw, as sum_over would fold the sum into the constant ONE
+        captured = Sum(prob(["x", "y"]), variables(["x", "y"]))
+        assert free_variables(captured) == frozenset()
 
 
 class TestMarkovianNeverFails:
@@ -312,6 +323,13 @@ class TestCorpusDigest:
 
     def test_given_corpus_verdicts(self):
         assert corpus_digest(given_corpus_queries(), render_verdict) == self.GIVEN_VERDICT_DIGEST
+
+    def test_every_formula_is_in_normal_form(self):
+        # the constructors build each node normal, so no sweep is left to do
+        for model, data, query in itertools.chain(corpus_queries(), given_corpus_queries()):
+            result = identify(model, data, query)
+            if isinstance(result, Formula):
+                assert simplify_form(result.form) == result.form
 
 
 def corpus_graphs():
@@ -665,4 +683,19 @@ class TestInferMemo:
                 call()
             raised.append((type(err.value), str(err.value)))
         assert raised[0] == raised[1] == raised[2]
-        assert front_door._derived == {}
+        assert not hasattr(front_door, "_derived")
+
+    @pytest.mark.parametrize("build", [
+        lambda m: m,
+        lambda m: subgraph(m, ["x", "y", "z"]),
+        lambda m: latent_projection(m, ["x", "y", "z"]),
+    ], ids=["make_model", "subgraph", "latent_projection"])
+    def test_a_model_gets_its_memo_on_its_first_infer(self, frames, build):
+        model = build(make_model({"x": [], "z": ["x"], "y": ["z"], "w": ["y"]}, [{"x", "y"}]))
+        assert not hasattr(model, "_derived")
+        dist, query = _Handing(Data(["x", "y", "z"])), make_query(["y"], do={"x": 0})
+        first, missed = self.frames_of(frames, lambda: infer(model, dist, query))
+        assert missed > 0 and len(model._derived) == 1
+        second, hit = self.frames_of(frames, lambda: infer(model, dist, query))
+        assert hit == 0 and len(model._derived) == 1
+        assert first == second == identify(model, Data(["x", "y", "z"]), query)

@@ -12,7 +12,7 @@ from whittemore import (
     to_dot,
     to_latex,
 )
-from tests.test_simplify import _random_form
+from tests.forms import random_form
 
 FRONT_DOOR_LATEX = (
     r"\sum_{z} \left[ \sum_{x} P(y \mid x, z) P(x) \right] P(z \mid x)"
@@ -48,7 +48,7 @@ class TestToLatex:
     @pytest.mark.parametrize("seed", range(25))
     def test_balanced_delimiters_on_random_forms(self, seed):
         rng = random.Random(seed)
-        form = _random_form(rng, ["a", "b", "c"])
+        form = random_form(rng, ["a", "b", "c"])
         text = to_latex(form)
         assert text.count("{") == text.count("}")
         assert text.count(r"\left[") == text.count(r"\right]")

@@ -5,64 +5,76 @@ import random
 import pytest
 
 from whittemore import (
-    CategoricalDistribution,
     Formula,
     Fraction,
-    Prob,
     Product,
     Sum,
     ONE,
-    condition_pass,
     evaluate,
     fraction,
     free_variables,
-    marginalize_pass,
     prob,
     product,
     simplify,
     simplify_form,
     sum_over,
+    variables,
 )
-from whittemore.formula import count_nodes, form_key
+from whittemore.formula import form_key
+
+from tests.forms import BUILT, assignments, count_nodes, random_form, random_joint
 
 
-class TestMarginalizePass:
+def raw_sum(body, sub):
+    """A Sum node as it is, where sum_over would apply the rules."""
+    return Sum(body, variables(sub))
+
+
+class TestMarginalizeRule:
     def test_partial_marginal(self):
-        form = sum_over(prob(["x", "y", "z"]), ["y"])
-        assert marginalize_pass(form) == prob(["x", "z"])
+        assert simplify_form(raw_sum(prob(["x", "y", "z"]), ["y"])) == prob(["x", "z"])
+        assert sum_over(prob(["x", "y", "z"]), ["y"]) == prob(["x", "z"])
 
     def test_total_marginal_is_one(self):
-        form = sum_over(prob(["x"]), ["x"])
-        assert marginalize_pass(form) == ONE
+        assert simplify_form(raw_sum(prob(["x"]), ["x"])) == ONE
+        assert sum_over(prob(["x"]), ["x"]) == ONE
 
     def test_keeps_conditioning(self):
-        form = sum_over(prob(["x"], ["z"]), ["x"])
-        assert marginalize_pass(form) == prob([], ["z"])
+        assert simplify_form(raw_sum(prob(["x"], ["z"]), ["x"])) == prob([], ["z"])
+        assert sum_over(prob(["x"], ["z"]), ["x"]) == prob([], ["z"])
 
     def test_skips_subscripts_in_given(self):
-        form = sum_over(prob(["x"], ["z"]), ["z"])
-        assert marginalize_pass(form) == form
+        form = raw_sum(prob(["x"], ["z"]), ["z"])
+        assert simplify_form(form) == form
+        assert sum_over(prob(["x"], ["z"]), ["z"]) == form
+
+    def test_skips_subscripts_outside_the_term(self):
+        form = raw_sum(prob(["x"]), ["x", "w"])
+        assert simplify_form(form) == form
+        assert sum_over(prob(["x"]), ["x", "w"]) == form
 
 
-class TestConditionPass:
+class TestConditionRule:
     def test_joint_over_marginal(self):
-        form = fraction(prob(["x", "y", "z"]), prob(["x", "z"]))
-        assert condition_pass(form) == prob(["y"], ["x", "z"])
+        form = Fraction(prob(["x", "y", "z"]), prob(["x", "z"]))
+        assert simplify_form(form) == prob(["y"], ["x", "z"])
+        assert fraction(form.numer, form.denom) == prob(["y"], ["x", "z"])
 
     def test_denominator_one(self):
-        form = fraction(prob(["x"]), prob([]))
-        assert condition_pass(form) == prob(["x"])
+        assert simplify_form(Fraction(prob(["x"]), prob([]))) == prob(["x"])
+        assert fraction(prob(["x"]), prob([])) == prob(["x"])
 
     def test_shared_conditioning(self):
         # chain rule: P(x,y|w) / P(y|w) = P(x | y,w); checked numerically below
-        form = fraction(prob(["x", "y"], ["w"]), prob(["y"], ["w"]))
-        assert condition_pass(form) == prob(["x"], ["y", "w"])
+        form = Fraction(prob(["x", "y"], ["w"]), prob(["y"], ["w"]))
+        assert simplify_form(form) == prob(["x"], ["y", "w"])
+        assert fraction(form.numer, form.denom) == prob(["x"], ["y", "w"])
 
     def test_shared_conditioning_agrees_with_measure(self):
         rng = random.Random(7)
-        dist = _random_joint(rng, ["w", "x", "y"])
-        form = fraction(prob(["x", "y"], ["w"]), prob(["y"], ["w"]))
-        reduced = condition_pass(form)
+        dist = random_joint(rng, ["w", "x", "y"])
+        form = Fraction(prob(["x", "y"], ["w"]), prob(["y"], ["w"]))
+        reduced = simplify_form(form)
         for w, x, y in itertools.product((0, 1), repeat=3):
             env = {"w": w, "x": x, "y": y}
             assert evaluate(dist, form, env) == pytest.approx(
@@ -70,18 +82,21 @@ class TestConditionPass:
             )
 
     def test_requires_matching_conditioning(self):
-        form = fraction(prob(["x", "y"], ["w"]), prob(["y"]))
-        assert condition_pass(form) == form
+        form = Fraction(prob(["x", "y"], ["w"]), prob(["y"]))
+        assert simplify_form(form) == form
+        assert fraction(form.numer, form.denom) == form
+
+    def test_requires_a_strictly_smaller_denominator(self):
+        form = Fraction(prob(["x", "y"]), prob(["x", "y"]))
+        assert simplify_form(form) == form
+        assert fraction(form.numer, form.denom) == form
 
 
 class TestSimplify:
     def test_published_reduction(self):
         # fraction of a joint over its own partial marginal collapses to a
         # conditional in two rule applications
-        form = fraction(
-            prob(["y", "z", "x"]),
-            sum_over(prob(["y", "z", "x"]), ["y"]),
-        )
+        form = Fraction(prob(["y", "z", "x"]), raw_sum(prob(["y", "z", "x"]), ["y"]))
         assert simplify_form(form) == prob(["y"], ["x", "z"])
 
     def test_minimal_form_is_fixpoint(self):
@@ -90,87 +105,93 @@ class TestSimplify:
 
     def test_singleton_product_unwrap(self):
         assert simplify_form(Product((prob(["x"]),))) == prob(["x"])
+        assert product([prob(["x"])]) == prob(["x"])
+
+    def test_empty_product_is_one(self):
+        assert simplify_form(Product(())) == ONE
+        assert product([]) == ONE
 
     def test_nested_products_flatten(self):
-        form = product([product([prob(["a"]), prob(["b"], ["a"])]), prob(["c"])])
-        flattened = simplify_form(form)
+        inner = Product((prob(["a"]), prob(["b"], ["a"])))
+        flattened = simplify_form(Product((inner, prob(["c"]))))
         assert isinstance(flattened, Product)
         assert len(flattened.factors) == 3
+        assert product([inner, prob(["c"])]) == flattened
 
     def test_constant_factor_dropped(self):
-        form = product([prob(["x"]), ONE])
-        assert simplify_form(form) == prob(["x"])
+        assert simplify_form(Product((prob(["x"]), ONE))) == prob(["x"])
+        assert product([prob(["x"]), ONE]) == prob(["x"])
+
+    def test_empty_subscript_dropped(self):
+        assert simplify_form(Sum(prob(["x"]), frozenset())) == prob(["x"])
+        assert sum_over(prob(["x"]), []) == prob(["x"])
+
+    def test_fraction_over_one_is_its_numerator(self):
+        numer = raw_sum(Product((prob(["a"]), prob(["b"]))), ["a"])
+        assert simplify_form(Fraction(numer, ONE)) == numer
+        assert fraction(numer, ONE) == numer
 
     def test_nested_disjoint_sums_merge(self):
-        form = Sum(Sum(product([prob(["a"]), prob(["b"])]), frozenset({"a"})), frozenset({"b"}))
+        form = raw_sum(raw_sum(Product((prob(["a"]), prob(["b"]))), ["a"]), ["b"])
         out = simplify_form(form)
-        assert out == Sum(product([prob(["a"]), prob(["b"])]), frozenset({"a", "b"}))
+        assert out == raw_sum(Product((prob(["a"]), prob(["b"]))), ["a", "b"])
+        assert sum_over(form.body, ["b"]) == out
 
     def test_overlapping_sums_do_not_merge(self):
-        inner = Sum(product([prob(["a"]), prob(["b"])]), frozenset({"a"}))
-        form = Sum(inner, frozenset({"a", "b"}))
-        assert simplify_form(form).sub == frozenset({"a", "b"})
+        inner = raw_sum(Product((prob(["a"]), prob(["b"]))), ["a"])
+        form = raw_sum(inner, ["a", "b"])
+        assert simplify_form(form) == form
+        assert sum_over(inner, ["a", "b"]) == form
 
     def test_formula_bindings_preserved(self):
-        f = Formula(sum_over(prob(["x", "y"]), ["y"]), {"x": 0})
+        f = Formula(raw_sum(prob(["x", "y"]), ["y"]), {"x": 0})
         out = simplify(f)
         assert out.form == prob(["x"])
         assert out.bindings == {"x": 0}
 
 
-def _random_joint(rng, names):
-    weights = []
-    raw = [rng.uniform(0.05, 1.0) for _ in range(2 ** len(names))]
-    total = sum(raw)
-    for bits, w in zip(itertools.product((0, 1), repeat=len(names)), raw):
-        weights.append((dict(zip(names, bits)), w / total))
-    return CategoricalDistribution.from_weights(weights)
-
-
-def _random_form(rng, names, depth=0):
-    kinds = ["prob"] if depth >= 3 else ["prob", "prob", "sum", "product", "fraction"]
-    kind = rng.choice(kinds)
-    if kind == "prob":
-        p = rng.sample(names, rng.randint(1, len(names)))
-        rest = [n for n in names if n not in p]
-        given = rng.sample(rest, rng.randint(0, len(rest)))
-        return prob(p, given)
-    if kind == "sum":
-        body = _random_form(rng, names, depth + 1)
-        candidates = sorted(free_variables(body))
-        k = rng.randint(0, len(candidates))
-        return sum_over(body, rng.sample(candidates, k)) if k else body
-    if kind == "product":
-        return product(
-            [_random_form(rng, names, depth + 1) for _ in range(rng.randint(1, 3))]
-        )
-    return fraction(
-        _random_form(rng, names, depth + 1), _random_form(rng, names, depth + 1)
-    )
-
-
-def _assignments(dist, form):
-    names = sorted(free_variables(form))
-    for bits in itertools.product(*(dist.support[v] for v in names)):
-        yield dict(zip(names, bits))
+def _random_case(seed):
+    rng = random.Random(seed)
+    names = sorted(rng.sample(["a", "b", "c", "d"], rng.randint(2, 4)))
+    return rng, names, random_joint(rng, names)
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_simplify_preserves_semantics_and_is_idempotent(seed):
-    rng = random.Random(seed)
-    names = rng.sample(["a", "b", "c", "d"], rng.randint(2, 4))
-    dist = _random_joint(rng, sorted(names))
-    form = _random_form(rng, sorted(names))
+    rng, names, dist = _random_case(seed)
+    form = random_form(rng, names)
     simplified = simplify_form(form)
     assert simplify_form(simplified) == simplified
-    for single_rule in (marginalize_pass, condition_pass):
-        once = single_rule(form)
-        assert single_rule(once) == once
     assert free_variables(simplified) == free_variables(form)
     assert count_nodes(simplified) <= count_nodes(form)
-    for env in _assignments(dist, form):
+    for env in assignments(dist, form):
         assert evaluate(dist, form, env) == pytest.approx(
             evaluate(dist, simplified, env), abs=1e-12
+        )
+
+
+def test_random_raw_forms_are_seldom_normal():
+    # the property test above only checks work that is there to do
+    shrunk = 0
+    for seed in range(100):
+        rng, names, _ = _random_case(seed)
+        form = random_form(rng, names)
+        shrunk += count_nodes(simplify_form(form)) < count_nodes(form)
+    assert shrunk >= 30
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_constructors_build_the_normal_form(seed):
+    rng, names, dist = _random_case(seed)
+    state = rng.getstate()
+    raw = random_form(rng, names)
+    rng.setstate(state)
+    built = random_form(rng, names, BUILT)
+    assert simplify_form(built) == built
+    assert simplify_form(raw) == built
+    for env in assignments(dist, raw):
+        assert evaluate(dist, built, env) == pytest.approx(
+            evaluate(dist, raw, env), abs=1e-12
         )
 
 
@@ -178,7 +199,7 @@ def test_simplify_preserves_semantics_and_is_idempotent(seed):
 def test_form_keys_stay_invisible(seed):
     def build():
         rng = random.Random(seed)
-        return [_random_form(rng, ["a", "b", "c", "d"]) for _ in range(3)]
+        return [random_form(rng, ["a", "b", "c", "d"]) for _ in range(3)]
 
     keyed, plain = build(), build()
     for f in keyed:
