@@ -385,17 +385,17 @@ class _Evaluator:
     evaluator to a float. Equal P(·) terms share one closure, which resolves
     its tables on its first call; a term then costs a key build and a dict
     lookup, into the distribution's memoised quotients for a conditional. A
-    Sum is a loop nest (`_sum`) that evaluates each body factor once per value
-    of the summed variables it reads. The distribution keeps each form's
-    program for its lifetime, and what a program resolves holds for any call.
+    Sum keeps a table of the body factors that no binding reaches (`_sum`).
+    The distribution keeps each form's program for its lifetime, and what a
+    program resolves or keeps holds for any call.
 
-    An evaluator holds the state of one call, and a program holds none: a
-    loop nest stores its factor values per call, and 0/0s are recorded in the
+    An evaluator holds the state of one call: 0/0s are recorded in the
     evaluator passed in. `zero_conditionals` counts the 0/0 conditionals
-    evaluated. A factor kept out of inner loops is evaluated, and counted,
-    once per value of the variables it reads, so a sum's count can be lower
-    than a flat walk's. `empty_stratum` holds the first one's denominator as
-    (variable, value) pairs.
+    evaluated, and `empty_stratum` holds the first one's denominator as
+    (variable, value) pairs. A sum's closed factors are evaluated once per
+    value of the summed variables they read, when its table is built, and
+    every call is given the 0/0s of that build; its open factors are not
+    evaluated where the closed factors weigh zero.
     """
 
     def __init__(self, dist: CategoricalDistribution):
@@ -440,43 +440,90 @@ class _Evaluator:
         raise EstimationError(f"cannot evaluate {type(form).__name__}")
 
     def _sum(self, form: Sum):
-        """A loop nest over the summed variables in sorted order, the order of
-        `itertools.product`. Each body factor is evaluated in the loop of the
-        innermost summed variable it reads. The innermost loop multiplies the
-        stored values in factor order from 1.0 and adds in order (not with
-        `sum()`, which compensates on 3.12+), so every value is the flat walk's."""
-        names = sorted(form.sub)
+        """A kept sum table. Closed factors of the body read only summed
+        variables (a constant is closed), head factors none, and open factors
+        both. The first call runs a loop nest over the summed variables in
+        sorted order, the order of `itertools.product`, that evaluates each
+        closed factor once the innermost summed variable it reads is bound,
+        and adds each product into the entry of the summed values that the
+        open factors read. A call multiplies the head factors by the sum,
+        added in order with `+=` (not `sum()`, which compensates on 3.12+), of
+        each nonzero entry's weight times each open P(·) term read from the
+        slice that its bound values select. NaN marks a miss, an unhashable
+        value or another open factor, and then every entry runs the open
+        factors' closures."""
+        names, sub = sorted(form.sub), form.sub
         factors = form.body.factors if isinstance(form.body, Product) else (form.body,)
-        runs = [self._compile(factor) for factor in factors]
-        # stages[d]: the factors evaluated once names[:d] are bound
+        closed, heads, opens = [], [], []
+        for factor in factors:
+            free = free_variables(factor)
+            (closed if free <= sub else opens if free & sub else heads).append((factor, free))
+        outer = tuple([v for v in names if any(v in free for _, free in opens)])
+        # stages[d]: the closed factors evaluated once names[:d] are bound
         stages = [[] for _ in range(len(names) + 1)]
-        for i, factor in enumerate(factors):
-            read = free_variables(factor) & form.sub
-            stages[max([names.index(v) + 1 for v in read], default=0)].append(i)
-        supports = None
+        for i, (_, free) in enumerate(closed):
+            stages[max([names.index(v) + 1 for v in free], default=0)].append(i)
+        runs, head_runs, open_runs = (
+            [self._compile(factor) for factor, _ in group] for group in (closed, heads, opens))
+        # the getter of each open P(·) term's bound values, False for another factor
+        getters = [isinstance(f, Prob) and _getter(tuple(sorted(free - sub))) for f, free in opens]
+        at, misses, supports, kept = _getter(outer), itertools.repeat(math.nan), None, None
 
-        def nest(env, ev, values, depth, total):
-            name, inner, deeper = names[depth], stages[depth + 1], depth + 1 < len(names)
+        # the build's state is passed in, so that no cycle holds the distribution
+        def nest(env, record, values, sums, depth):
+            for i in stages[depth]:
+                values[i] = runs[i](env, record)
+            if depth == len(names):
+                key = at(env)
+                sums[key] = sums.get(key, 0.0) + math.prod(values, start=1.0)
+                return
             for value in supports[depth]:
-                env[name] = value
-                for i in inner:
-                    values[i] = runs[i](env, ev)
-                if deeper:
-                    total = nest(env, ev, values, depth + 1, total)
-                else:
-                    total += math.prod(values, start=1.0)
-            return total
+                env[names[depth]] = value
+                nest(env, record, values, sums, depth + 1)
+
+        def build(dist):
+            nonlocal supports
+            record, supports, sums = _Evaluator(dist), dist._supports(names), {}
+            nest({}, record, [0.0] * len(runs), sums, 0)
+            points = tuple([point for point, weight in sums.items() if weight != 0.0])
+            slices = [get and _regroup(dist, f, sub, outer, points)
+                      for (f, _), get in zip(opens, getters)]
+            weights = tuple(map(sums.get, points))
+            return points, weights, slices, record.zero_conditionals, record.empty_stratum
 
         def run_sum(env, ev):
-            nonlocal supports
-            if supports is None:
-                supports = ev.dist._supports(names)
-            values = [0.0] * len(factors)
-            for i in stages[0]:
-                values[i] = runs[i](env, ev)
-            if not names:
-                return 0.0 + math.prod(values, start=1.0)
-            return nest(dict(env), ev, values, 0, 0.0)
+            nonlocal kept
+            head = 1.0
+            for run in head_runs:
+                head *= run(env, ev)
+            try:
+                keys = [get and get(env) for get in getters]
+            except KeyError as exc:  # unbound in this call
+                raise _unbound(exc.args[0]) from None
+            if kept is None:  # calls racing here each build an equal table
+                kept = build(ev.dist)
+            points, weights, slices, zeros, stratum = kept
+            ev.zero_conditionals += zeros
+            if ev.empty_stratum is None:
+                ev.empty_stratum = stratum
+            products, total = weights, 0.0
+            for key, sliced in zip(keys, slices):
+                try:
+                    part = sliced and sliced[0].get(key)
+                except TypeError:  # an unhashable value, which no cell can hold
+                    part = None
+                column = map(part.get, sliced[1], misses) if part else misses
+                products = map(operator.mul, products, column)
+            for product in products:
+                total += product
+            if total != total:  # NaN: a miss, so every entry runs the closures
+                total, scope = 0.0, dict(env)
+                for point, weight in zip(points, weights):
+                    scope.update(zip(outer, point))
+                    for run in open_runs:
+                        weight *= run(scope, ev)
+                    total += weight
+            return head * total
         return run_sum
 
     def _prob(self, form: Prob):
@@ -526,11 +573,26 @@ class _Evaluator:
             self.empty_stratum = tuple(zip(names, values))
 
 
-def _getter(names: tuple[Variable, ...]):
-    """A function from an environment to the tuple of its `names` values."""
+def _getter(names: tuple):
+    """A function from an environment, or a tuple, to the tuple of its values
+    at `names`."""
     if len(names) == 1:
         return lambda env, v=names[0]: (env[v],)
     return operator.itemgetter(*names) if names else lambda env: ()
+
+
+def _regroup(
+    dist: CategoricalDistribution, form: Prob, sub: frozenset, outer: tuple, points: tuple
+) -> tuple:
+    """A P(·) term's table by the values of its variables outside `sub`, then
+    by those of the rest; and the key of the rest at each point of `outer`."""
+    names, table = dist._table(form.p | form.given, form.given)
+    rest = tuple([i for i, v in enumerate(names) if v in sub])
+    at, inner = _getter(tuple([i for i, v in enumerate(names) if v not in sub])), _getter(rest)
+    groups: defaultdict[tuple, dict] = defaultdict(dict)
+    for values, value in table.items():
+        groups[at(values)][inner(values)] = value
+    return groups, tuple(map(_getter(tuple([outer.index(names[i]) for i in rest])), points))
 
 
 def _unbound(v: Variable) -> EstimationError:

@@ -15,6 +15,18 @@ from typing import Any, Iterable, Mapping, Union
 from .model import Model, Variable, variables
 
 
+def _hash_once(cls):
+    """Keep each node's hash in its `__dict__` once computed, outside the
+    fields as `form_key` keeps its key. A pickle drops it, since the hash of
+    a `str` variable changes with PYTHONHASHSEED."""
+    fields_hash = cls.__hash__
+    cls.__hash__ = lambda self: self.__dict__.get("_hash") or self.__dict__.setdefault(
+        "_hash", fields_hash(self))
+    cls.__getstate__ = lambda self: {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Prob:
     """P(p | given): an atomic conditional-probability term."""
@@ -23,6 +35,7 @@ class Prob:
     given: frozenset[Variable] = frozenset()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Sum:
     """Summation of `body` over every joint value of the `sub` variables."""
@@ -31,6 +44,7 @@ class Sum:
     sub: frozenset[Variable]
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Product:
     """Product of factors; order-insensitive (stored in a canonical order)."""
@@ -41,6 +55,7 @@ class Product:
         object.__setattr__(self, "factors", tuple(sorted(self.factors, key=form_key)))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Fraction:
     numer: "Form"

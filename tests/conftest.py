@@ -1,8 +1,13 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from whittemore import CategoricalDistribution, make_model
+
+# a deeper run of the property tests, chosen with --hypothesis-profile deep;
+# derandomized, so that a failure reproduces exactly
+settings.register_profile("deep", max_examples=1000, derandomize=True, deadline=None)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 KIDNEY_CSV = REPO_ROOT / "data" / "renal-calculi.csv"

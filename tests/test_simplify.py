@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +26,7 @@ from whittemore import (
 )
 from whittemore.formula import form_key
 
+from tests.conftest import REPO_ROOT
 from tests.forms import BUILT, assignments, count_nodes, random_form, random_joint
 
 
@@ -210,3 +215,47 @@ def test_form_keys_stay_invisible(seed):
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second)
     assert [f.name for f in dataclasses.fields(Product)] == ["factors"]
+
+
+# builds the front-door formula afresh, then looks up every node of the
+# pickled one (read from stdin) in a dict keyed by the fresh formula's nodes
+_LOOKUP = """
+import pickle, sys
+from whittemore import Fraction, Product, Sum, identify, make_model, make_query
+
+def nodes(form):
+    yield form
+    children = {Sum: lambda f: [f.body], Product: lambda f: f.factors,
+                Fraction: lambda f: [f.numer, f.denom]}.get(type(form), lambda f: [])
+    for child in children(form):
+        yield from nodes(child)
+
+loaded = pickle.loads(sys.stdin.buffer.read())
+assert not any("_hash" in node.__dict__ for node in nodes(loaded.form))
+model = make_model({"x": [], "z": ["x"], "y": ["z"]}, [{"x", "y"}])
+fresh = identify(model, make_query(["y"], do=["x"]))
+index = {node: i for i, node in enumerate(nodes(fresh.form))}
+assert [index[node] for node in nodes(loaded.form)] == list(range(len(index)))
+"""
+
+
+def test_a_pickled_form_is_hashed_anew_under_another_hash_seed():
+    # a node keeps its hash once computed, but the hash of a str variable
+    # changes with PYTHONHASHSEED, so a pickle must not carry it
+    from whittemore import identify, make_model, make_query
+
+    model = make_model({"x": [], "z": ["x"], "y": ["z"]}, [{"x", "y"}])
+    formula = identify(model, make_query(["y"], do=["x"]))
+    hash(formula.form)
+    assert "_hash" in formula.form.__dict__
+    assert formula.form == identify(model, make_query(["y"], do=["x"])).form
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") == "0" else "0"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _LOOKUP], input=pickle.dumps(formula),
+        env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
