@@ -154,7 +154,10 @@ class CategoricalDistribution:
         return dict(self._support)
 
     def signature(self) -> Data:
-        return Data(self._variables)
+        # built on the first call and kept, as the variables never change
+        if "_signature" not in self.__dict__:
+            self._signature = Data(self._variables)
+        return self._signature
 
     def measure(self, event: Mapping[Any, Any]) -> float:
         """Probability of the event; unmentioned variables are marginalized."""

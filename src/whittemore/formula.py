@@ -197,14 +197,22 @@ class Fail:
 
 
 def free_variables(f: Formula | Form) -> frozenset[Variable]:
-    """Variables of f not captured by any enclosing sum subscript."""
-    if isinstance(f, Formula):
-        f = f.form
+    """Variables of f not captured by any enclosing sum subscript. The set is
+    kept in the asked node's `__dict__`, as `form_key` keeps its key; the walk
+    keeps none on the subnodes, where sets would cost heap no caller reads."""
+    f = f.form if isinstance(f, Formula) else f
+    free = f.__dict__.get("_free")
+    if free is None:
+        free = f.__dict__["_free"] = _free(f)
+    return free
+
+
+def _free(f: Form) -> frozenset[Variable]:
     if isinstance(f, Prob):
         return f.p | f.given
     if isinstance(f, Sum):
-        return free_variables(f.body) - f.sub
+        return _free(f.body) - f.sub
     if isinstance(f, Product):
         # one pass, and one factor's set alive at a time
-        return frozenset(chain.from_iterable(map(free_variables, f.factors)))
-    return free_variables(f.numer) | free_variables(f.denom)
+        return frozenset(chain.from_iterable(map(_free, f.factors)))
+    return _free(f.numer) | _free(f.denom)

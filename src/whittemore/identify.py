@@ -37,7 +37,6 @@ from .model import (
     latent_projection,
     names,
     subgraph,
-    variables,
 )
 
 
@@ -96,6 +95,12 @@ class Query:
 
     def __setattr__(self, name, value):
         raise AttributeError("Query is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the constructor: each part as its values, else its names
+        parts = ((self.effect, self.effect_values), (self.do, self.do_values),
+                 (self.given, self.given_values))
+        return Query, tuple([vs if values is None else values for vs, values in parts])
 
     @property
     def kind(self) -> str:
@@ -162,7 +167,8 @@ def identify(model: Model, data_or_query, query: Query | None = None) -> Formula
 def _shape(model: Model, data, query: Query | None) -> tuple[Query, tuple]:
     """The query of a valid identify call, and what identification reads of
     it: the data signature's variable set and the effect, do and given sets,
-    never their values. Raises on an invalid call."""
+    never their values. Raises on an invalid call. The names were validated
+    when the Data and the Query were built, so only the sets are made here."""
     if not isinstance(model, Model):
         raise QueryError(f"expected a model, got {type(model).__name__}")
     if query is None:
@@ -176,13 +182,13 @@ def _shape(model: Model, data, query: Query | None) -> tuple[Query, tuple]:
         raise UnknownVariableError(
             f"data variables not in model: {sorted(joint - model.vertices)}"
         )
-    q_vars = set(query.effect) | set(query.do) | set(query.given)
-    missing = q_vars - joint
+    y, x, z = frozenset(query.effect), frozenset(query.do), frozenset(query.given)
+    missing = (y | x | z) - joint
     if missing:
         raise UnknownVariableError(
             f"query variables absent from the data signature: {sorted(missing)}"
         )
-    return query, (joint, variables(query.effect), variables(query.do), variables(query.given))
+    return query, (joint, y, x, z)
 
 
 def _derive(model: Model, joint, y, x, z) -> Form | Fail:

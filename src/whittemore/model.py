@@ -143,6 +143,10 @@ class Model:
     def __setattr__(self, name, value):
         raise AttributeError("Model is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, without infer's memo
+        return Model, (dict(self.dag), self.confounding)
+
     def parents(self, v: Variable) -> frozenset[Variable]:
         return self._parent_sets[v]
 
@@ -216,24 +220,25 @@ def _build(
 
 
 class Data:
-    """The signature of a probability function: which joint is available."""
+    """The signature of a probability function: which joint is available, as
+    variables in the given order (`joint`) and as a set (`joint_set`)."""
 
-    __slots__ = ("joint",)
+    __slots__ = ("joint", "joint_set")
 
     def __init__(self, joint: Iterable[Any]):
         vs = names(joint, "data joint")
         if not vs:
             raise UnknownVariableError("data signature must name at least one variable")
-        if len(set(vs)) != len(vs):
-            raise DuplicateParentError("duplicate variable in data signature")
         object.__setattr__(self, "joint", vs)
+        object.__setattr__(self, "joint_set", frozenset(vs))
+        if len(self.joint_set) != len(vs):
+            raise DuplicateParentError("duplicate variable in data signature")
 
     def __setattr__(self, name, value):
         raise AttributeError("Data is immutable")
 
-    @property
-    def joint_set(self) -> frozenset[Variable]:
-        return frozenset(self.joint)
+    def __reduce__(self):
+        return Data, (self.joint,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Data):

@@ -137,22 +137,25 @@ def random_scm(
         for pair in itertools.combinations(names, 2)
         if rng.random() < confounding_prob
     ]
-    model = Model(dag, pairs)
+    return scm_over(Model(dag, pairs), rng)
 
+
+def scm_over(model: Model, rng: random.Random) -> DiscreteSCM:
+    """A random binary SCM over model's graph, its noises and mechanisms drawn
+    from rng as random_scm draws them."""
+    names = sorted(model.vertices)
+    groups = sorted(model.confounding, key=lambda g: tuple(sorted(g)))
     noise: dict[NoiseGroup, tuple[tuple[Any, float], ...]] = {}
     for v in names:
         noise[frozenset((v,))] = _binary_noise(rng)
-    for pair in sorted(pairs, key=lambda g: tuple(sorted(g))):
-        noise[pair] = _binary_noise(rng)
+    for group in groups:
+        noise[group] = _binary_noise(rng)
 
     mechanisms: dict[Variable, Mechanism] = {}
     for v in names:
-        parents = tuple(sorted(dag[v]))
+        parents = tuple(sorted(model.parents(v)))
         own = frozenset((v,))
-        shared = tuple(
-            sorted((g for g in pairs if v in g), key=lambda g: tuple(sorted(g)))
-        )
-        groups = (own,) + shared
+        shared = tuple(g for g in groups if v in g)
         table: dict[tuple, int] = {}
         for parent_vals in itertools.product((0, 1), repeat=len(parents)):
             for shared_vals in itertools.product((0, 1), repeat=len(shared)):
@@ -160,7 +163,7 @@ def random_scm(
                 for own_bit in (0, 1):
                     key = (parent_vals, (own_bit,) + shared_vals)
                     table[key] = base ^ own_bit
-        mechanisms[v] = TableMechanism(parents, groups, table)
+        mechanisms[v] = TableMechanism(parents, (own,) + shared, table)
 
     domains = {v: (0, 1) for v in names}
     return DiscreteSCM(model, noise, mechanisms, domains)

@@ -2,7 +2,8 @@
 
 `random_form` builds raw dataclass nodes by default, so that a form can hold
 every shape the normal form removes; with `BUILT` it makes the same tree
-through the normalising constructors instead.
+through the normalising constructors instead. It reads free variables by
+`reference_free`, so that a form it returns keeps no free-variable set.
 """
 import itertools
 
@@ -47,7 +48,7 @@ def random_form(rng, names, build=RAW, depth=0):
         return prob(p, given)
     if kind == "sum":
         body = random_form(rng, names, build, depth + 1)
-        candidates = sorted(free_variables(body))
+        candidates = sorted(reference_free(body))
         return build_sum(body, rng.sample(candidates, rng.randint(0, len(candidates))))
     if kind == "product":
         return build_product(
@@ -62,6 +63,30 @@ def assignments(dist, form):
     names = sorted(free_variables(form))
     for bits in itertools.product(*(dist.support[v] for v in names)):
         yield dict(zip(names, bits))
+
+
+def reference_free(f) -> frozenset:
+    """The free variables of a form by a fresh walk, reading nothing kept."""
+    if isinstance(f, Prob):
+        return f.p | f.given
+    if isinstance(f, Sum):
+        return reference_free(f.body) - f.sub
+    if isinstance(f, Product):
+        return frozenset().union(*map(reference_free, f.factors))
+    return reference_free(f.numer) | reference_free(f.denom)
+
+
+def nodes(f):
+    """Every node of a form, the root first, in a fixed order."""
+    yield f
+    if isinstance(f, Sum):
+        yield from nodes(f.body)
+    elif isinstance(f, Product):
+        for factor in f.factors:
+            yield from nodes(factor)
+    elif isinstance(f, Fraction):
+        yield from nodes(f.numer)
+        yield from nodes(f.denom)
 
 
 def count_nodes(f) -> int:

@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib
 import io
 import itertools
 import math
@@ -48,6 +49,8 @@ from whittemore.formula import Fraction, Prob, Product, Sum
 from whittemore.model import Variable
 from whittemore.oracle import exact_joint, random_scm
 from whittemore.printer import display_value
+
+from tests.forms import random_joint
 
 EXAMPLE_SAMPLES = [
     {"x": 0, "y": 0},
@@ -693,6 +696,28 @@ def test_a_joint_with_kept_programs_pickles():
     copy = pickle.loads(pickle.dumps(dist))
     assert copy == dist and dist._programs and not copy._programs
     assert infer(model, copy, query) == answer
+
+
+@pytest.mark.parametrize("effect, given", [
+    (["y"], None), ({"y": 1}, None), (["y"], {"z0": 0}),
+], ids=["table", "event", "given"])
+def test_a_repeated_infer_walks_no_form(monkeypatch, effect, given):
+    # the first infer of a shape asks the derived form for its free
+    # variables; one of the same shape on the same joint reads the kept set
+    module = importlib.import_module("whittemore.formula")
+    walked, walk = [], module._free
+    monkeypatch.setattr(module, "_free", lambda f: walked.append(f) or walk(f))
+    zs = [f"z{i}" for i in range(3)]
+    model = make_model({**dict.fromkeys(zs, []), "x": zs, "y": ["x", *zs]})
+    dist = random_joint(random.Random(29), [*zs, "x", "y"])
+    first = infer(model, dist, make_query(effect, {"x": 0}, given))
+    assert walked
+    walked.clear()
+    second = infer(model, dist, make_query(effect, {"x": 1}, given))
+    assert walked == []
+    assert _outcome(lambda: second) == _outcome(
+        lambda: infer(make_model(model.dag), _fresh(dist), make_query(effect, {"x": 1}, given)))
+    assert type(first) is type(second)
 
 
 def _fresh(dist):

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import importlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -699,3 +701,57 @@ class TestInferMemo:
         second, hit = self.frames_of(frames, lambda: infer(model, dist, query))
         assert hit == 0 and len(model._derived) == 1
         assert first == second == identify(model, Data(["x", "y", "z"]), query)
+
+
+_ROUND_TRIPS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", list(_ROUND_TRIPS))
+class TestPickleAndCopy:
+    """Data, Query and Model are rebuilt through their constructors by pickle,
+    copy and deepcopy; a model's infer memo is dropped."""
+
+    @pytest.mark.parametrize("obj", [
+        Data(["y", "x"]),
+        make_query(["y", "w"]),
+        make_query(["y"], {"x": 1}),
+        make_query(["y"], ["x"], ["z"]),
+        make_query({"y": 0}, {"x": 1}, {"z": "a"}),
+        make_model({"x": [], "z": ["x"], "y": ["z", "x"]}, [{"x", "y"}, {"x", "z", "y"}]),
+        latent_projection(make_model({"x": [], "z": ["x"], "y": ["z"]}, [{"x", "z"}]), ["x", "y"]),
+    ], ids=["data", "unbound-query", "bound-query", "given-query", "event-query", "model",
+            "projection"])
+    def test_round_trips_to_an_equal_object(self, how, obj):
+        again = _ROUND_TRIPS[how](obj)
+        assert type(again) is type(obj) and again == obj and repr(again) == repr(obj)
+        if isinstance(obj, Data):
+            assert again.joint == obj.joint and again.joint_set == obj.joint_set
+
+    def test_a_query_keeps_its_kind_and_values(self, how):
+        for query in (make_query(["y"], ["x"]), make_query(["y"], {"x": 1}, {"z": 0}),
+                      make_query({"y": 0}, {"x": 1})):
+            again = _ROUND_TRIPS[how](query)
+            assert again.kind == query.kind and again.bound_values() == query.bound_values()
+
+    def test_a_model_after_an_infer(self, how, front_door, smoking):
+        query = make_query(["y"], do={"x": 1})
+        answer = infer(front_door, smoking, query)
+        again = _ROUND_TRIPS[how](front_door)
+        assert again == front_door and not hasattr(again, "_derived")
+        assert infer(again, smoking, query) == answer
+
+    def test_a_joint_after_an_infer(self, how, front_door, smoking):
+        query = make_query({"y": 1}, do={"x": 0})
+        answer = infer(front_door, smoking, query)
+        again = _ROUND_TRIPS[how](smoking)
+        assert again == smoking and again.signature() == smoking.signature()
+        assert infer(front_door, again, query) == answer
+
+    def test_a_fail_with_its_hedge(self, how, bow):
+        fail = identify(bow, make_query(["y"], do=["x"]))
+        again = _ROUND_TRIPS[how](fail)
+        assert isinstance(again, Fail) and again == fail and again.message == fail.message

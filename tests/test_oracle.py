@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from whittemore import (
     ancestors,
     evaluate,
     identify,
+    infer,
     latent_projection,
     make_model,
     make_query,
@@ -23,6 +25,7 @@ from whittemore.oracle import (
     exact_joint,
     intervene,
     random_scm,
+    scm_over,
 )
 
 
@@ -270,6 +273,67 @@ class TestEndToEndSoundness:
             signature = [v for v in names if v != hidden]
             for effect, do in itertools.permutations(signature, 2):
                 assert_matches_truth(scm, joint, truths, signature, [effect], [do])
+
+
+class TestEveryThreeVertexADMG:
+    """Every ADMG over a, b, c in that topological order, and every query with
+    disjoint, non-empty effect and do sets (no given set), checked through
+    infer against two seeded binary SCMs over the graph."""
+
+    NAMES = ("a", "b", "c")
+
+    def graphs(self):
+        pairs = list(itertools.combinations(self.NAMES, 2))
+        for edges in itertools.product((0, 1), repeat=3):
+            dag = {v: [u for (u, w), e in zip(pairs, edges) if e and w == v] for v in self.NAMES}
+            for arcs in itertools.product((0, 1), repeat=3):
+                yield make_model(dag, [pair for pair, e in zip(pairs, arcs) if e])
+
+    def queries(self):
+        for roles in itertools.product("yx-", repeat=3):
+            effect = [v for v, r in zip(self.NAMES, roles) if r == "y"]
+            do = [v for v, r in zip(self.NAMES, roles) if r == "x"]
+            if effect and do:
+                yield effect, do
+
+    def test_every_formula_matches_the_exact_scms(self, monkeypatch):
+        # a frame whose effect is its caller's very set was opened by step 7,
+        # which passes y on; step 4 passes a c-component built afresh
+        module = importlib.import_module("whittemore.identify")
+        stack, step7, walk = [], [], module._id
+
+        def counted(y, *rest):
+            if stack and stack[-1] is y:
+                step7.append(y)
+            stack.append(y)
+            try:
+                return walk(y, *rest)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(module, "_id", counted)
+        posed = failed = checked = 0  # queries, Fails, step-7 frames of checked formulas
+        for index, model in enumerate(self.graphs()):
+            scms = [scm_over(model, random.Random(2 * index + k)) for k in range(2)]
+            joints = [exact_joint(scm) for scm in scms]
+            for effect, do in self.queries():
+                posed, before = posed + 1, len(step7)
+                if isinstance(identify(model, make_query(effect, do=do)), Fail):
+                    assert model.confounding
+                    failed += 1
+                    continue
+                checked += len(step7) - before
+                for scm, joint in zip(scms, joints):
+                    for bits in itertools.product((0, 1), repeat=len(do)):
+                        answer = infer(model, joint, make_query(effect, do=dict(zip(do, bits))))
+                        truth = exact_joint(intervene(scm, dict(zip(do, bits))))
+                        for values in itertools.product((0, 1), repeat=len(effect)):
+                            event = dict(zip(effect, values))
+                            assert answer.measure(event) == pytest.approx(
+                                truth.measure(event), abs=1e-9)
+        # identify opened 19 step-7 frames, and infer the same ones again
+        # for the queries it checked
+        assert (posed, failed, checked, len(step7)) == (768, 156, 4, 19 + 4)
 
 
 def assert_matches_truth(scm, joint, truths, signature, effect, do):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from whittemore import (
     Formula,
@@ -27,7 +29,16 @@ from whittemore import (
 from whittemore.formula import form_key
 
 from tests.conftest import REPO_ROOT
-from tests.forms import BUILT, assignments, count_nodes, random_form, random_joint
+from tests.forms import (
+    BUILT,
+    RAW,
+    assignments,
+    count_nodes,
+    nodes,
+    random_form,
+    random_joint,
+    reference_free,
+)
 
 
 def raw_sum(body, sub):
@@ -217,18 +228,23 @@ def test_form_keys_stay_invisible(seed):
     assert [f.name for f in dataclasses.fields(Product)] == ["factors"]
 
 
+def _subprocess_env() -> dict:
+    """This environment under another hash seed, with the source tree and
+    the tests importable."""
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") == "0" else "0"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 # builds the front-door formula afresh, then looks up every node of the
 # pickled one (read from stdin) in a dict keyed by the fresh formula's nodes
 _LOOKUP = """
 import pickle, sys
-from whittemore import Fraction, Product, Sum, identify, make_model, make_query
-
-def nodes(form):
-    yield form
-    children = {Sum: lambda f: [f.body], Product: lambda f: f.factors,
-                Fraction: lambda f: [f.numer, f.denom]}.get(type(form), lambda f: [])
-    for child in children(form):
-        yield from nodes(child)
+from tests.forms import nodes
+from whittemore import identify, make_model, make_query
 
 loaded = pickle.loads(sys.stdin.buffer.read())
 assert not any("_hash" in node.__dict__ for node in nodes(loaded.form))
@@ -249,13 +265,83 @@ def test_a_pickled_form_is_hashed_anew_under_another_hash_seed():
     hash(formula.form)
     assert "_hash" in formula.form.__dict__
     assert formula.form == identify(model, make_query(["y"], do=["x"])).form
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = "1" if env.get("PYTHONHASHSEED") == "0" else "0"
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
     done = subprocess.run(
         [sys.executable, "-c", _LOOKUP], input=pickle.dumps(formula),
-        env=env, capture_output=True, timeout=60,
+        env=_subprocess_env(), capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([RAW, BUILT]), st.data())
+def test_kept_free_variables_match_a_fresh_walk(seed, build, data):
+    # free_variables keeps its set on the node asked: asked again, and asked
+    # of any subnode after the root, it gives what a fresh walk gives, and
+    # equality, hash and repr do not see the kept set
+    form = random_form(random.Random(seed), ["a", "b", "c", "d"], build)
+    twin = random_form(random.Random(seed), ["a", "b", "c", "d"], build)
+    asked = [form, *data.draw(st.lists(st.sampled_from(list(nodes(form))), max_size=6))]
+    for node in asked:
+        want = reference_free(node)
+        assert free_variables(node) == want
+        assert node.__dict__["_free"] == want
+        assert free_variables(node) == want
+    assert free_variables(Formula(form)) is free_variables(form)
+    assert "_free" not in twin.__dict__
+    assert form == twin and hash(form) == hash(twin) and repr(form) == repr(twin)
+    loaded = pickle.loads(pickle.dumps(form))
+    assert loaded == twin
+    assert [free_variables(n) for n in nodes(loaded)] == list(map(reference_free, nodes(twin)))
+
+
+@pytest.mark.parametrize("build", [RAW, BUILT], ids=["raw", "built"])
+def test_asking_a_root_keeps_nothing_on_its_subnodes(build):
+    # a set kept on every node of a large identified form would cost heap
+    # that no caller reads; only the node asked keeps one
+    for seed in range(50):
+        form = random_form(random.Random(seed), ["a", "b", "c", "d"], build)
+        free_variables(form)
+        assert [n for n in nodes(form) if "_free" in n.__dict__] == [form]
+
+
+def test_identify_keeps_a_set_only_on_the_form_it_asks_about():
+    from whittemore import identify, make_model, make_query
+
+    zs = [f"z{i}" for i in range(5)]
+    model = make_model({**dict.fromkeys(zs, []), "x": zs, "y": ["x", *zs]})
+    form = identify(model, make_query(["y"], do={"x": 1})).form
+    assert [n for n in nodes(form) if "_free" in n.__dict__] == [form]
+
+
+# loads pickled forms, each asked at its root and at some subnodes, and the
+# seeds and builders that made them; rebuilds each form afresh, and checks
+# every node's set against a fresh walk and every loaded node's hash
+_KEPT_FREE = """
+import pickle, random, sys
+from tests.forms import BUILT, RAW, nodes, random_form, reference_free
+from whittemore import free_variables
+
+for form, seed, built in pickle.loads(sys.stdin.buffer.read()):
+    fresh = random_form(random.Random(seed), ["a", "b", "c", "d"], BUILT if built else RAW)
+    assert "_free" in form.__dict__
+    index = {node: i for i, node in enumerate(nodes(fresh))}
+    assert [index[node] for node in nodes(form)] == [index[node] for node in nodes(fresh)]
+    assert hash(form) == hash(fresh) and form == fresh and repr(form) == repr(fresh)
+    for loaded, node in zip(nodes(form), nodes(fresh)):
+        assert free_variables(loaded) == reference_free(node) == free_variables(node)
+"""
+
+
+def test_kept_free_sets_hold_after_a_pickle_load_under_another_hash_seed():
+    batch = []
+    for seed in range(40):
+        for built in (False, True):
+            form = random_form(random.Random(seed), ["a", "b", "c", "d"], BUILT if built else RAW)
+            hash(form)
+            for node in list(nodes(form))[::2]:
+                free_variables(node)
+            batch.append((form, seed, built))
+    done = subprocess.run(
+        [sys.executable, "-c", _KEPT_FREE], input=pickle.dumps(batch),
+        env=_subprocess_env(), capture_output=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr.decode()
