@@ -31,7 +31,6 @@ from .model import (
     Data,
     Model,
     Variable,
-    _c_components,
     _reach,
     as_event,
     latent_projection,
@@ -221,16 +220,6 @@ def _bind(form: Form | Fail, query: Query, y: frozenset[Variable]) -> Formula | 
     return Formula(form, bindings, effect=y)
 
 
-def _blanket(g: Model, u: Variable, before: set[Variable]) -> frozenset[Variable]:
-    """u's ordered Markov blanket: its district in G[before | {u}] and that
-    district's parents, less u. With before the predecessors of u within an
-    ancestral v, u is independent of the rest of before given it in every
-    distribution Markov to G[v], and no smaller subset keeps that independence."""
-    # u is the seed of the walk, so keep need not hold it
-    d = _reach(g._siblings, (u,), keep=before) if u in g._siblings else (u,)
-    return frozenset().union(d, *[g._parent_sets[w] for w in d]) - {u}
-
-
 def _chain_factors(
     p_form: Form, s: frozenset[Variable], v: frozenset[Variable], g: Model
 ) -> list[Form]:
@@ -238,21 +227,47 @@ def _chain_factors(
     in the root graph's order g._order, any subset of which is a topological
     order of its subgraph. While the distribution is the plain joint P(v), v
     is ancestral, so P(v) is Markov to G[v] and u conditions on its ordered
-    Markov blanket alone; after step 7 a factor is a ratio of marginals,
-    which `fraction` turns into a conditional where it can. `before` grows in
-    place: every reader of it only reads."""
-    plain = p_form == Prob(v)
-    factors, before = [], set()
+    Markov blanket alone: its district in G[before | {u}] and their parents.
+    A union-find over the districts of G[before] keeps each root's (latest
+    member's) blanket, and u's joins those of its siblings' roots. After step
+    7 a factor is a ratio of marginals, which `fraction` turns into a
+    conditional where it can."""
+    plain, factors, before = p_form == Prob(v), [], set()
+    siblings, root, kept = g._siblings, {}, {}
     for u in g._order:
+        if u not in v:
+            continue
+        b = g._parent_sets[u]  # u is no parent of a member of before
+        if plain and u in siblings:
+            roots = set()
+            for w in root.keys() & siblings[u]:
+                while root[w] != w:  # path halving
+                    root[w] = w = root[root[w]]
+                roots.add(w)
+            b = b.union(roots, *[kept[r] for r in roots])
+            for r in roots:
+                root[r] = u
+            root[u], kept[u] = u, b
         if u in s:
             if plain:
-                f = Prob(frozenset((u,)), _blanket(g, u, before))
+                f = Prob(frozenset((u,)), b)
             else:
                 f = fraction(sum_over(p_form, v - before - {u}), sum_over(p_form, v - before))
             factors.append(f)
-        if u in v:
-            before.add(u)
+        before.add(u)
     return factors
+
+
+def _districts(g: Model, seeds, within: frozenset[Variable]) -> list[frozenset[Variable]]:
+    """The c-components of G[within] holding a seed, by least member, one
+    sibling walk each. Every seed inside within must be confounded."""
+    left, out = set(within.intersection(seeds)), []
+    while left:
+        d = frozenset(_reach(g._siblings, (left.pop(),), keep=within))
+        left -= d
+        out.append(d)
+    out.sort(key=min)
+    return out
 
 
 def _id(
@@ -261,7 +276,8 @@ def _id(
     """ID on the subgraph of g over v, walked in place. p_form is the plain
     joint over v until step 7 rewrites it. Steps 2 and 3 are idempotent, so
     they rewrite this frame instead of recursing into one that would repeat
-    their walks; step 4 opens a frame only for a component linked to x."""
+    their walks. Step 4 walks siblings only from x's, and opens a frame
+    only for a component linked to x; steps 5 and 7 share one walk."""
     # 2: restrict to the ancestors of the effect, which are all of G[An(y)]
     if x:
         anc = _reach(g._parent_sets, y, keep=v)
@@ -282,24 +298,24 @@ def _id(
 
     # 4 and 6: factor across the c-components of G[v - x]. One with no
     #    sibling in x is a c-component of G[v] too, so one chain pass gives
-    #    all their factors (Tian & Pearl 2002); only a component linked to x
-    #    by a sibling opens a frame. Step 6 is the case where none is linked
-    components = _c_components(g, v - x)
-    linked = [s for s in components if not all(x.isdisjoint(g._siblings.get(u, ())) for u in s)]
-    if linked != [v - x]:
-        factors = _chain_factors(p_form, v - x - frozenset().union(*linked), v, g)
-        for s in linked:
-            r = _id(s, v - s, p_form, v, g)
+    #    all their factors (Tian & Pearl 2002). Only the components linked to
+    #    x by a sibling are walked, from x's siblings, and each opens a frame.
+    #    Step 6 is the case where none is linked
+    s, siblings = v - x, g._siblings
+    linked = _districts(g, [w for u in x if u in siblings for w in siblings[u]], s)
+    if linked != [s]:
+        factors = _chain_factors(p_form, s - frozenset().union(*linked), v, g)
+        for c in linked:
+            r = _id(c, v - c, p_form, v, g)
             if isinstance(r, Fail):
                 return r
             factors.append(r)
         return sum_over(product(factors), v - (y | x))
 
-    # 5: v - x is one component with a sibling in x; if that makes the whole
-    #    graph one confounded component, a hedge blocks the query
-    s = v - x
-    v_components = _c_components(g, v)
-    if len(v_components) == 1:
+    # 5: v - x is one component with a sibling in x; one walk finds its
+    #    c-component in G[v], and if that is all of v a hedge blocks the query
+    (s_prime,) = _districts(g, s, v)
+    if s_prime == v:
         hedge = Hedge(forest=subgraph(g, v), subforest=subgraph(g, s), witness=y)
         message = (
             f"P({', '.join(sorted(y))} | do({', '.join(sorted(x))})) is not "
@@ -308,5 +324,4 @@ def _id(
         return Fail(hedge, message)
 
     # 7: recurse into the enclosing component with a rewritten distribution
-    s_prime = next(c for c in v_components if s <= c)
     return _id(y, x & s_prime, product(_chain_factors(p_form, s_prime, v, g)), s_prime, g)

@@ -6,6 +6,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import whittemore.model
 from whittemore import (
@@ -27,11 +29,12 @@ from whittemore import (
 )
 from whittemore.errors import QueryError, UnknownVariableError
 from whittemore.formula import Sum, form_key
-from whittemore.identify import _blanket
+from whittemore.identify import _chain_factors, _districts
 from whittemore.model import (
     Variable,
     _c_components,
     _reach,
+    c_components,
     d_separated,
     latent_projection,
     subgraph,
@@ -396,9 +399,9 @@ class TestIdentifyShortcuts:
         assert set(paths) == {True, False}
 
     def test_blanket_is_the_least_separating_set(self):
-        # each vertex u of a root-frame chain factor is independent of its
-        # other predecessors given its ordered Markov blanket B, and no member
-        # of B can be left out
+        # each vertex u of a root-frame chain factor P(u | B) is independent
+        # of its other predecessors given its ordered Markov blanket B, and no
+        # member of B can be left out
         rng = random.Random("blanket")
         for i in range(1000):
             n = rng.randint(2, 10)
@@ -410,14 +413,90 @@ class TestIdentifyShortcuts:
             g = make_model(dag, pairs)
             if i % 3 == 2 and n > 3:
                 g = latent_projection(g, rng.sample(names, rng.randint(2, n - 1)))
+            factors = _chain_factors(prob(g.vertices), g.vertices, g.vertices, g)
+            assert len(factors) == len(g._order)
             before = frozenset()
-            for u in g._order:
-                b = _blanket(g, u, before)
+            for u, factor in zip(g._order, factors):
+                assert factor.p == {u}
+                b = factor.given
                 assert b <= before
                 assert d_separated(g, u, before - b, b)
                 for w in b:
                     assert not d_separated(g, u, (w,), b - {w})
                 before |= {u}
+
+
+@st.composite
+def admgs(draw):
+    """A random ADMG of 1-12 vertices whose name order is not its topological
+    order. Its bidirected edges are random, a long chain through every
+    vertex in a drawn order, or a star around one hub."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    names = draw(st.permutations([f"v{k:02d}" for k in range(n)]))  # names[j] at position j
+    dag = {v: [p for p in names[:j] if draw(st.integers(0, 3)) == 0] for j, v in enumerate(names)}
+    shape = draw(st.sampled_from(["random", "chain", "star"]))
+    if shape == "chain":
+        walk = draw(st.permutations(names))
+        pairs = list(zip(walk, walk[1:]))
+    elif shape == "star":
+        hub = draw(st.sampled_from(names))
+        pairs = [(hub, v) for v in names if v != hub]
+    else:
+        pairs = [p for p in itertools.combinations(names, 2) if draw(st.integers(0, 4)) == 0]
+    return make_model(dag, pairs)
+
+
+def _subset(data, vs, min_size=0):
+    return frozenset(data.draw(st.sets(st.sampled_from(sorted(vs)), min_size=min_size)))
+
+
+class TestDistrictWalks:
+    """The c-component structure that _id and _chain_factors read, each
+    against a brute-force walk of the same graph."""
+
+    @given(admgs(), st.data())
+    def test_kept_blankets_match_the_district_walk(self, g, data):
+        # in a plain frame, u's blanket is its district in G[before | {u}]
+        # and that district's parents, less u
+        v = frozenset(_reach(g._parent_sets, _subset(data, g.vertices, 1)))
+        s = _subset(data, v)
+        got = _chain_factors(prob(v), s, v, g)
+        want, before = [], set()
+        for u in g._order:
+            if u in s:
+                d = _reach(g._siblings, (u,), keep=before) if u in g._siblings else {u}
+                want.append(prob([u], set().union(d, *[g._parent_sets[w] for w in d]) - {u}))
+            if u in v:
+                before.add(u)
+        assert got == want
+
+    @given(admgs(), st.data())
+    def test_step_four_walks_only_the_linked_components(self, g, data):
+        v = _subset(data, g.vertices, 1)
+        x = _subset(data, v, 1)
+        rest = v - x
+        if not rest:
+            return
+        siblings = g._siblings
+        linked = _districts(g, [w for u in x if u in siblings for w in siblings[u]], rest)
+        want = [
+            c for c in sorted(c_components(subgraph(g, rest)), key=min)
+            if any(x & siblings.get(w, frozenset()) for w in c)
+        ]
+        assert linked == want
+
+    @given(admgs(), st.data())
+    def test_steps_five_and_seven_walk_once(self, g, data):
+        # s is a c-component of G[s] holding a confounded vertex, as step 4
+        # leaves it when it is the one linked component
+        confounded = sorted(g._siblings)
+        if not confounded:
+            return
+        u = data.draw(st.sampled_from(confounded))
+        v = _subset(data, g.vertices) | {u}
+        s = next(c for c in c_components(subgraph(g, _subset(data, v) | {u})) if u in c)
+        want = next(c for c in c_components(subgraph(g, v)) if s <= c)
+        assert _districts(g, s, v) == [want]
 
 
 def napkin():
@@ -516,39 +595,44 @@ class TestModelsBuilt:
 class TestFramesMade:
     """Steps 2 and 3 rewrite the frame they run in, and step 4 factors every
     component with no sibling in x in one chain pass, so only a component
-    linked to x by a sibling, and step 7, open an _id frame. The
-    c-components of G[v] are computed only for steps 5 and 7."""
+    linked to x by a sibling, and step 7, open an _id frame. Sibling walks
+    start only from x's siblings in step 4 and from the one linked component
+    in steps 5 and 7; a plain chain pass walks none, and keeps its districts
+    instead."""
 
     def count_frames(self, monkeypatch, model, query, frames=None):
         module = importlib.import_module("whittemore.identify")
-        counts = {"_id": 0, "_c_components": 0}
+        counts = {"_id": 0, "_reach": 0}
         for name in counts:
             fn = getattr(module, name)
 
-            def counted(*args, name=name, fn=fn):
-                counts[name] += 1
-                if frames is not None and name == "_id":
-                    frames.append((sorted(args[0]), sorted(args[1]), sorted(args[3])))
-                return fn(*args)
+            def counted(*args, name=name, fn=fn, **kwargs):
+                if name == "_id":
+                    counts[name] += 1
+                    if frames is not None:
+                        frames.append((sorted(args[0]), sorted(args[1]), sorted(args[3])))
+                elif args[0] is model._siblings:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         result = identify(model, query)
         assert isinstance(result, Formula)
-        return counts["_id"], counts["_c_components"]
+        return counts["_id"], counts["_reach"]
 
     def two_parent_chain(self, monkeypatch, n):
-        # every component of G[v - x] is a singleton with no sibling: one
-        # frame and one c-component walk, however long the chain
+        # no vertex has a sibling: one frame and no sibling walk, however
+        # long the chain
         names = [f"v{i:03d}" for i in range(n)]
         model = make_model({v: names[max(0, i - 2):i] for i, v in enumerate(names)})
         query = make_query([names[-1]], do=["v003"])
         return self.count_frames(monkeypatch, model, query)
 
     def test_markovian_two_parent_chain(self, monkeypatch):
-        assert self.two_parent_chain(monkeypatch, 12) == (1, 1)
+        assert self.two_parent_chain(monkeypatch, 12) == (1, 0)
 
     def test_frames_do_not_grow_with_the_chain(self, monkeypatch):
-        assert self.two_parent_chain(monkeypatch, 400) == (1, 1)
+        assert self.two_parent_chain(monkeypatch, 400) == (1, 0)
 
     def test_long_front_door_chain(self, monkeypatch):
         query = make_query(["y"], do=["x"])
@@ -556,8 +640,9 @@ class TestFramesMade:
 
     def test_only_the_component_linked_to_x_opens_a_frame(self, monkeypatch):
         # x -> m1 -> m2 -> m3 -> y, x <-> y: of the components {m1}, {m2},
-        # {m3} and {y} of G[v - x], only {y} has a sibling in x. It opens
-        # the one step-4 frame, which step 7 narrows to {x, y}
+        # {m3} and {y} of G[v - x], only {y} has a sibling in x, and only it
+        # is walked. It opens the one step-4 frame, whose walk for steps 5
+        # and 7 narrows it to {x, y}
         frames = []
         query = make_query(["y"], do=["x"])
         assert self.count_frames(monkeypatch, front_door_chain(3), query, frames) == (3, 3)
@@ -570,7 +655,7 @@ class TestFramesMade:
 
     def test_napkin(self, monkeypatch):
         query = make_query(["y"], do=["x"])
-        assert self.count_frames(monkeypatch, napkin(), query) == (2, 3)
+        assert self.count_frames(monkeypatch, napkin(), query) == (2, 2)
 
 
 class _Handing:

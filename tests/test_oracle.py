@@ -10,6 +10,7 @@ from whittemore import (
     Fail,
     ancestors,
     evaluate,
+    free_variables,
     identify,
     infer,
     latent_projection,
@@ -275,65 +276,139 @@ class TestEndToEndSoundness:
                 assert_matches_truth(scm, joint, truths, signature, [effect], [do])
 
 
+def every_admg(names):
+    """Every ADMG over names, in that topological order."""
+    pairs = list(itertools.combinations(names, 2))
+    for edges in itertools.product((0, 1), repeat=len(pairs)):
+        dag = {v: [u for (u, w), e in zip(pairs, edges) if e and w == v] for v in names}
+        for arcs in itertools.product((0, 1), repeat=len(pairs)):
+            yield make_model(dag, [pair for pair, e in zip(pairs, arcs) if e])
+
+
+def every_query(names):
+    """Every (effect, do) pair of disjoint, non-empty subsets of names."""
+    for roles in itertools.product("yx-", repeat=len(names)):
+        effect = [v for v, r in zip(names, roles) if r == "y"]
+        do = [v for v, r in zip(names, roles) if r == "x"]
+        if effect and do:
+            yield effect, do
+
+
+def watch_derivations(monkeypatch):
+    """Wrap identify's _id; return the list of step-7 frames it opens and,
+    for each outermost frame that does not fail, whether its form has
+    stray free variables (outside y and x), which _derive averages over.
+    A frame whose effect is its caller's very set was opened by step 7,
+    which passes y on; step 4 passes a c-component built afresh."""
+    module = importlib.import_module("whittemore.identify")
+    stack, step7, stray, walk = [], [], [], module._id
+
+    def counted(y, x, *rest):
+        if stack and stack[-1] is y:
+            step7.append(y)
+        stack.append(y)
+        try:
+            result = walk(y, x, *rest)
+        finally:
+            stack.pop()
+        if not stack and not isinstance(result, Fail):
+            stray.append(bool(free_variables(result) - (y | x)))
+        return result
+
+    monkeypatch.setattr(module, "_id", counted)
+    return step7, stray
+
+
+class _ExactSCMs:
+    """Two seeded binary SCMs over one graph, their joints, and their
+    intervened joints made once per do-assignment."""
+
+    def __init__(self, model, index):
+        self.model = model
+        self.scms = [scm_over(model, random.Random(2 * index + k)) for k in range(2)]
+        self.joints = [exact_joint(scm) for scm in self.scms]
+        self.truths = {}
+
+    def check(self, effect, do):
+        """infer P(effect | do) at every binary value, against both SCMs, to 1e-9."""
+        for k, (scm, joint) in enumerate(zip(self.scms, self.joints)):
+            for bits in itertools.product((0, 1), repeat=len(do)):
+                fixed = tuple(zip(do, bits))
+                answer = infer(self.model, joint, make_query(effect, do=dict(fixed)))
+                if (k, fixed) not in self.truths:
+                    self.truths[k, fixed] = exact_joint(intervene(scm, dict(fixed)))
+                for values in itertools.product((0, 1), repeat=len(effect)):
+                    event = dict(zip(effect, values))
+                    assert answer.measure(event) == pytest.approx(
+                        self.truths[k, fixed].measure(event), abs=1e-9)
+
+
 class TestEveryThreeVertexADMG:
     """Every ADMG over a, b, c in that topological order, and every query with
     disjoint, non-empty effect and do sets (no given set), checked through
     infer against two seeded binary SCMs over the graph."""
 
-    NAMES = ("a", "b", "c")
-
-    def graphs(self):
-        pairs = list(itertools.combinations(self.NAMES, 2))
-        for edges in itertools.product((0, 1), repeat=3):
-            dag = {v: [u for (u, w), e in zip(pairs, edges) if e and w == v] for v in self.NAMES}
-            for arcs in itertools.product((0, 1), repeat=3):
-                yield make_model(dag, [pair for pair, e in zip(pairs, arcs) if e])
-
-    def queries(self):
-        for roles in itertools.product("yx-", repeat=3):
-            effect = [v for v, r in zip(self.NAMES, roles) if r == "y"]
-            do = [v for v, r in zip(self.NAMES, roles) if r == "x"]
-            if effect and do:
-                yield effect, do
-
     def test_every_formula_matches_the_exact_scms(self, monkeypatch):
-        # a frame whose effect is its caller's very set was opened by step 7,
-        # which passes y on; step 4 passes a c-component built afresh
-        module = importlib.import_module("whittemore.identify")
-        stack, step7, walk = [], [], module._id
-
-        def counted(y, *rest):
-            if stack and stack[-1] is y:
-                step7.append(y)
-            stack.append(y)
-            try:
-                return walk(y, *rest)
-            finally:
-                stack.pop()
-
-        monkeypatch.setattr(module, "_id", counted)
+        step7, _ = watch_derivations(monkeypatch)
         posed = failed = checked = 0  # queries, Fails, step-7 frames of checked formulas
-        for index, model in enumerate(self.graphs()):
-            scms = [scm_over(model, random.Random(2 * index + k)) for k in range(2)]
-            joints = [exact_joint(scm) for scm in scms]
-            for effect, do in self.queries():
+        for index, model in enumerate(every_admg(("a", "b", "c"))):
+            scms = _ExactSCMs(model, index)
+            for effect, do in every_query(("a", "b", "c")):
                 posed, before = posed + 1, len(step7)
                 if isinstance(identify(model, make_query(effect, do=do)), Fail):
                     assert model.confounding
                     failed += 1
                     continue
                 checked += len(step7) - before
-                for scm, joint in zip(scms, joints):
-                    for bits in itertools.product((0, 1), repeat=len(do)):
-                        answer = infer(model, joint, make_query(effect, do=dict(zip(do, bits))))
-                        truth = exact_joint(intervene(scm, dict(zip(do, bits))))
-                        for values in itertools.product((0, 1), repeat=len(effect)):
-                            event = dict(zip(effect, values))
-                            assert answer.measure(event) == pytest.approx(
-                                truth.measure(event), abs=1e-9)
+                scms.check(effect, do)
         # identify opened 19 step-7 frames, and infer the same ones again
         # for the queries it checked
         assert (posed, failed, checked, len(step7)) == (768, 156, 4, 19 + 4)
+
+
+class TestFourVertexADMGSample:
+    """A seeded sample of the queries over every ADMG on a, b, c, d in that
+    topological order, stratified by the steps of ID that fired: every query
+    whose derivation entered a step-7 frame or averaged a stray variable is
+    checked, and one in PLAIN_EVERY of the others. Only queries whose effect
+    has all four vertices as ancestors are posed: step 2 reduces any other
+    to one on G[An(y)] of at most three vertices, which TestEveryThreeVertexADMG
+    checks exhaustively. At n = 3 no step-7 frame of an identified query
+    tells the blanket path from the path of marginals, and no stray sum
+    occurs; at n = 4 both do."""
+
+    NAMES = ("a", "b", "c", "d")
+    SAMPLE = 1 / 3  # the share of the posable queries that is posed
+    PLAIN_EVERY = 16
+
+    def test_sampled_formulas_match_the_exact_scms(self, monkeypatch):
+        step7, stray = watch_derivations(monkeypatch)
+        rng = random.Random("four-vertex-sample")
+        counts = dict(posed=0, failed=0, step7=0, stray=0, plain=0)
+        for index, model in enumerate(every_admg(self.NAMES)):
+            scms = None
+            above = {v: ancestors(model, [v]) for v in self.NAMES}
+            for effect, do in every_query(self.NAMES):
+                if len(frozenset().union(*[above[v] for v in effect])) < 4:
+                    continue
+                if rng.random() >= self.SAMPLE:
+                    continue
+                counts["posed"] += 1
+                before = len(step7)
+                if isinstance(identify(model, make_query(effect, do=do)), Fail):
+                    counts["failed"] += 1
+                    continue
+                if stray[-1]:
+                    counts["stray"] += 1
+                if len(step7) > before:
+                    counts["step7"] += 1
+                else:
+                    counts["plain"] += 1
+                    if counts["plain"] % self.PLAIN_EVERY:
+                        continue
+                scms = scms or _ExactSCMs(model, index)
+                scms.check(effect, do)
+        assert counts == dict(posed=12061, failed=9617, step7=347, stray=4, plain=2097)
 
 
 def assert_matches_truth(scm, joint, truths, signature, effect, do):
